@@ -15,7 +15,6 @@ seeded experiments and long-run property checks, and :mod:`exdyn.config` /
 
 from .ar1 import (
     Ar1Params,
-    VariancePrediction,
     boundary_params,
     fixed_point,
     linearization,
@@ -24,7 +23,6 @@ from .ar1 import (
     simulate_ar1,
     stationary_autocovariance,
     variance_of_Y,
-    variance_prediction,
 )
 from .config import RunSpecFile, header_text, parse_config
 from .errors import (
@@ -77,12 +75,10 @@ from .model import (
 )
 from .presets import (
     PRESET_NAMES,
-    cloud_from_points,
     preset_keys,
     scatter_for_seed,
-    scatter_initial_conditions,
 )
-from .rng import derive_seed, substream
+from .rng import substream
 
 __version__ = "0.1.0"
 
@@ -107,7 +103,6 @@ __all__ = [
     "SnapshotResult",
     "SystemState",
     "TrajectoryRecord",
-    "VariancePrediction",
     "assign_cells",
     "boundary_1d",
     "boundary_params",
@@ -116,8 +111,6 @@ __all__ = [
     "cell_stats",
     "centroidal_deviation",
     "classify",
-    "cloud_from_points",
-    "derive_seed",
     "equilibrium_steps",
     "figure1_snapshot",
     "fixed_point",
@@ -137,7 +130,6 @@ __all__ = [
     "run_trajectory",
     "sample",
     "scatter_for_seed",
-    "scatter_initial_conditions",
     "second_order_variance_of_Y",
     "simulate_ar1",
     "stationary_autocovariance",
@@ -146,6 +138,5 @@ __all__ = [
     "theorem_suite",
     "total_weight",
     "variance_of_Y",
-    "variance_prediction",
     "weight_bound",
 ]

@@ -26,6 +26,15 @@ from .errors import ParameterError
 from .model import Domain, ModelConfig, _advance, limit_total_weight
 
 INFINITE = math.inf
+_FIXED_POINT_TOL = 1e-10
+
+
+def _is_unit_pair(config: ModelConfig) -> bool:
+    """True for the two-category uniform system on [0, 1], the only model
+    the closed forms describe."""
+    return (config.k == 2
+            and config.domain == Domain(np.array([0.0]), np.array([1.0]))
+            and config.dist.kind == "uniform")
 
 
 def _check_rate(decay_rate):
@@ -43,22 +52,23 @@ def boundary_params(decay_rate: float):
     return K, sigma
 
 
-def fixed_point(decay_rate: float, check: bool = True, n_nodes: int = 2048,
-                tol: float = 1e-10) -> np.ndarray:
+def fixed_point(decay_rate: float, check: bool = True) -> np.ndarray:
     """The state (1/4, 3/4, W/2, W/2) left fixed by the expected update.
 
     With check=True the returned vector is verified against a quadrature of
-    the expected one-step map; the verification costs n_nodes model steps.
+    the expected one-step map (mean_map at its default node count); the
+    relative residual must not exceed 1e-10.
     """
     _check_rate(decay_rate)
     W = limit_total_weight(decay_rate)
     z = np.array([0.25, 0.75, W / 2.0, W / 2.0])
     if check:
         # residual is relative on the weight entries, which scale like 1/decay_rate
-        err = np.max(np.abs(mean_map(z, decay_rate, n_nodes) - z) / np.maximum(1.0, np.abs(z)))
-        if err > tol:
+        err = np.max(np.abs(mean_map(z, decay_rate) - z) / np.maximum(1.0, np.abs(z)))
+        if err > _FIXED_POINT_TOL:
             raise ParameterError(
-                f"fixed-point residual {err:.3e} exceeds {tol} at decay_rate={decay_rate}"
+                f"fixed-point residual {err:.3e} exceeds {_FIXED_POINT_TOL} "
+                f"at decay_rate={decay_rate}"
             )
     return z
 
@@ -175,10 +185,7 @@ class Ar1Params:
     def for_config(cls, config: ModelConfig, check: bool = False) -> "Ar1Params":
         """Build params for a model config, refusing anything but the
         two-category uniform system on [0, 1]."""
-        canonical = Domain(np.array([0.0]), np.array([1.0]))
-        if (config.k != 2 or config.domain.dim != 1
-                or config.domain != canonical
-                or config.dist.kind != "uniform"):
+        if not _is_unit_pair(config):
             raise ParameterError(
                 "AR(1) closed forms only exist for the 2-category uniform model on [0, 1]"
             )
@@ -229,19 +236,6 @@ def stationary_autocovariance(decay_rate: float, r: int) -> float:
     """Equilibrium autocovariance sigma^2 K^|r| / (1 - K^2) at lag r."""
     K, sigma = boundary_params(decay_rate)
     return sigma**2 * K ** abs(int(r)) / (1.0 - K**2)
-
-
-@dataclass(frozen=True)
-class VariancePrediction:
-    """A (decay_rate, n, Var[Y^n]) record, n possibly math.inf."""
-
-    decay_rate: float
-    n: float
-    value: float
-
-
-def variance_prediction(decay_rate: float, n) -> VariancePrediction:
-    return VariancePrediction(float(decay_rate), n, variance_of_Y(decay_rate, n))
 
 
 def simulate_ar1(decay_rate: float, n_steps: int, rng) -> np.ndarray:

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, ParameterError
-from .model import DistributionSpec, Domain, ModelConfig
-from .presets import cloud_from_points, preset_keys, scatter_for_seed
+from .model import DistributionSpec, Domain, ExemplarCloud, ModelConfig
+from .presets import preset_keys, scatter_for_seed
 
 EXPERIMENTS = ("trajectory", "variance-curve", "snapshot", "properties", "ar1-table")
 
@@ -80,10 +80,15 @@ class RunSpecFile:
     grid_resolution: int = None
 
     def build_cloud(self):
-        """Exemplar cloud for scatter-initialized runs, else None."""
+        """Exemplar cloud for scatter-initialized runs, else None: every
+        scatter point at birth step 0 with weight 1."""
         if self.scatter_points is None:
             return None
-        return cloud_from_points(self.scatter_points)
+        k, count, dim = self.scatter_points.shape
+        cloud = ExemplarCloud(k, dim)
+        for j in range(k):
+            cloud.seed_category(j, self.scatter_points[j], np.ones(count), birth_step=0)
+        return cloud
 
     def echo_lines(self):
         return [f"# {k} = {v}" for k, v in self.expanded.items()]

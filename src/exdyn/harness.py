@@ -11,7 +11,9 @@ grid index i) consumes substream(master_seed, i, r); geometry estimates use
 tagged substreams so they never disturb trajectory draws.  The 1-D
 two-category uniform case runs through a specialized scalar loop, and
 ensembles through a vectorized one; both reproduce the generic step
-bit for bit.
+bit for bit.  The step-reference test in tests/test_harness.py proves it
+for single runs: across k, dim and decay rates on both sides of the engine
+choice, every recorded state equals iterating model.step on the same draws.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .ar1 import _is_unit_pair, variance_of_Y
 from .errors import ParameterError
 from .geometry import assign_cells, centroidal_deviation, min_cell_volume
 from .model import (
@@ -37,6 +40,8 @@ _CHUNK = 1 << 16
 _ENSEMBLE_CHUNK = 512
 
 MOVEMENT_EPSILON = 1e-4
+_FRACTION_FLOOR = 0.5
+_CVT_SAMPLES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -45,15 +50,14 @@ class TrajectoryRecord:
 
     config: ModelConfig
     stride: int
-    steps: np.ndarray    # (m,) recorded step indices
     means: np.ndarray    # (m, k, dim)
     weights: np.ndarray  # (m, k)
     winners: np.ndarray = None  # (n_steps,) winning category per step, if kept
-    cloud: ExemplarCloud = None
 
-    def __post_init__(self):
-        if np.any(np.diff(self.steps) <= 0) or np.any(self.steps % self.stride):
-            raise ParameterError("recorded steps must be increasing multiples of the stride")
+    @property
+    def steps(self) -> np.ndarray:
+        """Step index of each record: 0, stride, 2 stride, ..."""
+        return np.arange(len(self.means), dtype=np.int64) * self.stride
 
     @property
     def boundaries(self) -> np.ndarray:
@@ -150,8 +154,7 @@ def _trajectory_pair(config, n_steps, stride, rng, record_winners):
 
 def run_trajectory(config: ModelConfig, n_steps: int, stride: int = 1,
                    rng=None, record_winners: bool = False,
-                   cloud: ExemplarCloud = None,
-                   _force_general: bool = False) -> TrajectoryRecord:
+                   cloud: ExemplarCloud = None) -> TrajectoryRecord:
     """Run the dynamics for n_steps, recording every stride-th state.
 
     The record always contains the initial state.  With the default rng the
@@ -168,7 +171,7 @@ def run_trajectory(config: ModelConfig, n_steps: int, stride: int = 1,
     if rng is None:
         rng = substream(config.seed)
 
-    fast = (not _force_general and config.k == 2 and config.domain.dim == 1
+    fast = (config.k == 2 and config.domain.dim == 1
             and config.dist.kind == "uniform" and cloud is None)
     if fast:
         rec_means, rec_weights, winners = _trajectory_pair(
@@ -177,10 +180,8 @@ def run_trajectory(config: ModelConfig, n_steps: int, stride: int = 1,
         rec_means, rec_weights, winners = _trajectory_general(
             config, n_steps, stride, rng, record_winners, cloud)
 
-    steps = np.arange(rec_means.shape[0], dtype=np.int64) * stride
-    return TrajectoryRecord(config=config, stride=stride, steps=steps,
-                            means=rec_means, weights=rec_weights,
-                            winners=winners, cloud=cloud)
+    return TrajectoryRecord(config=config, stride=stride, means=rec_means,
+                            weights=rec_weights, winners=winners)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +210,8 @@ class EnsembleEstimate:
 
 def equilibrium_steps(decay_rate: float) -> int:
     """ceil(400 / decay_rate), the horizon treated as 'effectively infinite'."""
-    if decay_rate <= 0:
-        raise ParameterError("equilibrium horizon requires decay_rate > 0")
+    if not 0 < decay_rate < math.inf:
+        raise ParameterError("equilibrium horizon requires a finite decay_rate > 0")
     return math.ceil(400.0 / decay_rate)
 
 
@@ -396,11 +397,10 @@ def _min_pairwise_distance(means_batch) -> np.ndarray:
 
 def property_non_collapse(config: ModelConfig, n_steps: int,
                           check_stride: int = 1000, n_samples: int = 4096,
-                          volume_floor: float = None,
-                          fraction_floor: float = 0.5) -> PropertyReport:
+                          volume_floor: float = None) -> PropertyReport:
     """Pass iff cells keep bulk: the fraction of checked states whose
     smallest cell volume exceeds the floor (default 0.05 |E| / k) stays
-    above ``fraction_floor``.  Also tracks the smallest pairwise distance
+    above one half.  Also tracks the smallest pairwise distance
     between means over the checked states."""
     if volume_floor is None:
         volume_floor = 0.05 * config.domain.volume / config.k
@@ -414,24 +414,14 @@ def property_non_collapse(config: ModelConfig, n_steps: int,
     min_dist = float(_min_pairwise_distance(checked).min())
     return PropertyReport(
         name="non-collapse",
-        passed=fraction > fraction_floor,
+        passed=fraction > _FRACTION_FLOOR,
         stats={"min_volume": float(vols.min()), "volume_fraction": fraction,
                "min_pair_distance": min_dist, "n_steps": float(n_steps),
                "checks": float(checked.shape[0])},
         thresholds={"volume_floor": float(volume_floor),
-                    "fraction_floor": float(fraction_floor)},
+                    "fraction_floor": _FRACTION_FLOOR},
         seed=config.seed,
     )
-
-
-def _require_unit_pair(config):
-    if (config.k != 2 or config.domain.dim != 1
-            or float(config.domain.lower[0]) != 0.0
-            or float(config.domain.upper[0]) != 1.0
-            or config.dist.kind != "uniform"):
-        raise ParameterError(
-            "this check is calibrated to the 2-category uniform model on [0, 1]"
-        )
 
 
 def variance_floor(decay_rate: float) -> float:
@@ -439,8 +429,6 @@ def variance_floor(decay_rate: float) -> float:
     boundary variance, extended by continuity to 0 at decay_rate = 0."""
     if decay_rate == 0:
         return 0.0
-    from .ar1 import variance_of_Y
-
     return 0.1 * variance_of_Y(decay_rate, math.inf)
 
 
@@ -451,7 +439,10 @@ def property_non_convergence(config: ModelConfig, n_steps: int) -> PropertyRepor
 
     Accepts decay_rate = 0 so the converging case can serve as a negative
     control (it must come out failed)."""
-    _require_unit_pair(config)
+    if not _is_unit_pair(config):
+        raise ParameterError(
+            "this check is calibrated to the 2-category uniform model on [0, 1]"
+        )
     if n_steps < 8:
         raise ParameterError("n_steps too small for a late-window estimate")
     rec = run_trajectory(config, n_steps, stride=1)
@@ -476,8 +467,7 @@ def property_non_convergence(config: ModelConfig, n_steps: int) -> PropertyRepor
     )
 
 
-def property_macqueen_cvt(config: ModelConfig, n_steps: int,
-                          n_samples: int = 1 << 18) -> PropertyReport:
+def property_macqueen_cvt(config: ModelConfig, n_steps: int) -> PropertyReport:
     """Pass iff the zero-decay run settles toward a centroidal configuration:
     deviation at n_steps under a quarter of its value at n_steps/10, and the
     final deviation under 5% of the domain diameter.
@@ -494,9 +484,9 @@ def property_macqueen_cvt(config: ModelConfig, n_steps: int,
     if n_steps < 10 or n_steps % 10:
         raise ParameterError("n_steps must be a positive multiple of 10")
     rec = run_trajectory(config, n_steps, stride=n_steps // 10)
-    dev_mid = centroidal_deviation(rec.means[1], config.domain, n_samples,
+    dev_mid = centroidal_deviation(rec.means[1], config.domain, _CVT_SAMPLES,
                                    substream(config.seed, GEOMETRY_STREAM, 0))
-    dev_final = centroidal_deviation(rec.means[-1], config.domain, n_samples,
+    dev_final = centroidal_deviation(rec.means[-1], config.domain, _CVT_SAMPLES,
                                      substream(config.seed, GEOMETRY_STREAM, 1))
     final_cap = 0.05 * config.domain.diameter
     passed = bool(dev_final < 0.25 * dev_mid and dev_final < final_cap)

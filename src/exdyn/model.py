@@ -52,6 +52,8 @@ class Domain:
         hi = np.atleast_1d(np.asarray(self.upper, dtype=np.float64))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ParameterError("domain bounds must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ParameterError("domain bounds must be finite")
         if not np.all(lo < hi):
             raise ParameterError("domain requires lower < upper in every coordinate")
         object.__setattr__(self, "lower", lo)
@@ -209,16 +211,16 @@ class ModelConfig:
         object.__setattr__(self, "init_weights", w)
         if self.k < 1:
             raise ParameterError("k must be at least 1")
-        if self.decay_rate < 0:
-            raise ParameterError("decay_rate must be nonnegative")
+        if not 0 <= self.decay_rate < math.inf:
+            raise ParameterError("decay_rate must be finite and nonnegative")
         if self.init_means.shape != (self.k, self.domain.dim):
             raise ParameterError(
                 f"init_means must have shape ({self.k}, {self.domain.dim})"
             )
         if w.shape != (self.k,):
             raise ParameterError(f"init_weights must have shape ({self.k},)")
-        if not np.all(w > 0):
-            raise ParameterError("init_weights must all be strictly positive")
+        if not np.all((w > 0) & (w < np.inf)):
+            raise ParameterError("init_weights must all be finite and strictly positive")
         for i in range(self.k):
             if not self.domain.contains(self.init_means[i]):
                 raise DomainError(f"init_means[{i}] lies outside the domain")

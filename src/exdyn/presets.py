@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .model import Domain, ExemplarCloud, limit_total_weight
+from .model import Domain, limit_total_weight
 from .rng import INIT_STREAM, substream
 
 
@@ -125,9 +125,9 @@ def preset_keys(name: str) -> dict:
     return builder()
 
 
-def scatter_initial_conditions(centers, count: int, sigma: float,
-                               domain: Domain, rng):
-    """Gaussian exemplar scatter around per-category centers.
+def scatter_for_seed(centers, count: int, sigma: float, domain: Domain, seed):
+    """Gaussian exemplar scatter around per-category centers, drawn from the
+    dedicated initialization stream of ``seed``.
 
     Draws ``count`` points per category (clamped into the domain), each with
     weight 1, and returns (initial means, initial weights, points) where the
@@ -139,6 +139,7 @@ def scatter_initial_conditions(centers, count: int, sigma: float,
         raise ConfigError("scatter_count must be at least 1", field="scatter_count")
     if sigma < 0:
         raise ConfigError("scatter_sigma must be nonnegative", field="scatter_sigma")
+    rng = substream(seed, INIT_STREAM)
     points = np.empty((k, count, domain.dim))
     for j in range(k):
         draws = rng.normal(loc=centers[j], scale=sigma, size=(count, domain.dim))
@@ -146,19 +147,3 @@ def scatter_initial_conditions(centers, count: int, sigma: float,
     means = points.mean(axis=1)
     weights = np.full(k, float(count))
     return means, weights, points
-
-
-def scatter_for_seed(centers, count, sigma, domain, seed):
-    """Same as scatter_initial_conditions, drawing from the dedicated
-    initialization stream of ``seed``."""
-    return scatter_initial_conditions(centers, count, sigma, domain,
-                                      substream(seed, INIT_STREAM))
-
-
-def cloud_from_points(points) -> ExemplarCloud:
-    """An exemplar cloud holding one scatter (birth step 0, weight 1 each)."""
-    k, count, dim = points.shape
-    cloud = ExemplarCloud(k, dim)
-    for j in range(k):
-        cloud.seed_category(j, points[j], np.ones(count), birth_step=0)
-    return cloud

@@ -23,8 +23,3 @@ def substream(seed, *key):
     ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
 
-
-def derive_seed(seed, index):
-    """A fresh 64-bit master seed for sub-experiment ``index`` of ``seed``."""
-    ss = np.random.SeedSequence(int(seed), spawn_key=(int(index),))
-    return int(ss.generate_state(1, np.uint64)[0])

@@ -25,7 +25,6 @@ from exdyn import (
     stationary_autocovariance,
     substream,
     variance_of_Y,
-    variance_prediction,
 )
 from exdyn.ar1 import INFINITE
 
@@ -191,13 +190,6 @@ def test_autocovariance_identities():
     ratio = stationary_autocovariance(0.4, 3) / stationary_autocovariance(0.4, 0)
     assert ratio == pytest.approx(K**3, rel=1e-12)
     assert stationary_autocovariance(0.4, -4) == stationary_autocovariance(0.4, 4)
-
-
-def test_variance_prediction_record():
-    p = variance_prediction(0.2, INFINITE)
-    assert p.decay_rate == 0.2
-    assert p.n == INFINITE
-    assert p.value == variance_of_Y(0.2, INFINITE)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from exdyn import (
     Domain,
@@ -10,9 +12,9 @@ from exdyn import (
     ExemplarCloud,
     ModelConfig,
     ParameterError,
-    TrajectoryRecord,
     boundary_samples,
     boundary_variance_curve,
+    classify,
     equilibrium_steps,
     figure1_snapshot,
     limit_total_weight,
@@ -23,6 +25,8 @@ from exdyn import (
     property_non_extinction,
     replica_stream,
     run_trajectory,
+    sample,
+    step,
     substream,
     theorem_suite,
     variance_of_Y,
@@ -74,15 +78,6 @@ def test_boundaries_require_1d_pair():
         rec.boundaries
 
 
-def test_record_rejects_bad_step_grid():
-    cfg = pair_config(0.1, seed=3)
-    rec = run_trajectory(cfg, 6, stride=3)
-    with pytest.raises(ParameterError):
-        TrajectoryRecord(cfg, 3, np.array([0, 3, 7]), rec.means, rec.weights)
-    with pytest.raises(ParameterError):
-        TrajectoryRecord(cfg, 3, np.array([0, 6, 3]), rec.means, rec.weights)
-
-
 def test_run_trajectory_input_validation():
     cfg = pair_config(0.1, seed=3)
     with pytest.raises(ParameterError):
@@ -91,17 +86,35 @@ def test_run_trajectory_input_validation():
         run_trajectory(cfg, 10, stride=0)
 
 
-def test_fast_and_general_paths_agree_bitwise():
-    # the k=2 unit-interval specialization must be a pure speedup
-    cfg = pair_config(0.05, seed=11)
-    a = run_trajectory(cfg, 5000, stride=100, rng=substream(cfg.seed),
-                       record_winners=True)
-    b = run_trajectory(cfg, 5000, stride=100, rng=substream(cfg.seed),
-                       record_winners=True, _force_general=True)
-    assert np.array_equal(a.means, b.means)
-    assert np.array_equal(a.weights, b.weights)
-    assert np.array_equal(a.winners, b.winners)
-    assert np.array_equal(a.steps, b.steps)
+@pytest.mark.parametrize("k,dim", [(k, dim) for k in range(1, 6)
+                                   for dim in range(1, 4)])
+@settings(max_examples=4, deadline=None)
+@given(decay_rate=st.floats(1e-3, 1.0) | st.just(0.0),
+       lower=st.floats(-5.0, 5.0), span=st.floats(0.5, 20.0),
+       seed=st.integers(0, 2**64 - 1), n_steps=st.integers(0, 500))
+@example(decay_rate=0.0, lower=0.0, span=1.0, seed=11, n_steps=500)
+@example(decay_rate=0.05, lower=0.0, span=1.0, seed=11, n_steps=500)
+def test_run_trajectory_matches_step_reference(k, dim, decay_rate, lower, span,
+                                               seed, n_steps):
+    # k=2 in 1-D runs the pair engine, every other shape the generic one;
+    # both must replay model.step on the same draws bit for bit
+    domain = Domain(np.full(dim, lower), np.full(dim, lower + span))
+    init = substream(seed, 99)
+    cfg = ModelConfig(k=k, decay_rate=decay_rate, domain=domain,
+                      dist=DistributionSpec.uniform(),
+                      init_means=domain.uniform_points(init, k),
+                      init_weights=init.uniform(0.5, 50.0, k), seed=seed)
+    rec = run_trajectory(cfg, n_steps, stride=1, record_winners=True)
+    assert np.array_equal(rec.steps, np.arange(n_steps + 1))
+    g = substream(cfg.seed)
+    state = cfg.initial_state()
+    for t in range(n_steps + 1):
+        if t:
+            z = sample(cfg.dist, cfg.domain, g)
+            assert rec.winners[t - 1] == classify(z, state.means)
+            state = step(state, z, cfg.decay_rate)
+        assert np.array_equal(rec.means[t], state.means)
+        assert np.array_equal(rec.weights[t], state.weights)
 
 
 def test_trajectory_deterministic_and_seed_sensitive():
@@ -140,8 +153,9 @@ def test_equilibrium_steps_values():
     assert equilibrium_steps(0.2) == 2000
     assert equilibrium_steps(0.005) == 80000
     assert equilibrium_steps(math.log(2.0)) == 578
-    with pytest.raises(ParameterError):
-        equilibrium_steps(0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            equilibrium_steps(bad)
 
 
 def test_boundary_samples_step_zero_is_half():

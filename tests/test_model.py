@@ -43,6 +43,12 @@ def test_domain_rejects_empty_interior():
         Domain(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
     with pytest.raises(ParameterError):
         Domain(np.array([2.0]), np.array([1.0]))
+    with pytest.raises(ParameterError):
+        Domain(np.array([0.0]), np.array([math.inf]))
+    with pytest.raises(ParameterError):
+        Domain(np.array([-math.inf, 0.0]), np.array([0.0, 1.0]))
+    with pytest.raises(ParameterError):
+        Domain(np.array([0.0]), np.array([math.nan]))
 
 
 def test_domain_geometry():
@@ -270,6 +276,11 @@ def test_model_config_validation():
         build(k=0, init_means=np.zeros((0, 1)), init_weights=np.zeros(0))
     with pytest.raises(ParameterError):
         build(decay_rate=-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="decay_rate"):
+            build(decay_rate=bad)
+        with pytest.raises(ParameterError, match="init_weights"):
+            build(init_weights=np.array([1.0, bad]))
     with pytest.raises(ParameterError):
         build(seed=2**64)
 
