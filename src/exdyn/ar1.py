@@ -11,7 +11,7 @@ AR(1) recursion for the boundary deviation Y = b - 1/2:
 
 All functions here require decay_rate > 0 and are only valid for the
 two-category uniform system on [0, 1]; everything is pure and cheap except
-simulate_ar1, which is linear in the number of steps.
+simulate_ar1, a plain-Python loop that is linear in the number of steps.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ParameterError
 from .model import Domain, ModelConfig, _advance, limit_total_weight
@@ -241,14 +240,15 @@ def stationary_autocovariance(decay_rate: float, r: int) -> float:
 def simulate_ar1(decay_rate: float, n_steps: int, rng) -> np.ndarray:
     """Simulate Y^0 .. Y^n_steps of the boundary AR(1) from Y^0 = 0.
 
-    Bit-deterministic for a given generator state; the recursion is run
-    through scipy's lfilter, which reproduces the naive loop exactly.
+    Bit-deterministic for a given generator state: Y^(t+1) = K Y^t +
+    sigma eta^t is iterated in Python floats, written into the result.
     """
     K, sigma = boundary_params(decay_rate)
     if n_steps < 0:
         raise ParameterError("n_steps must be nonnegative")
-    if n_steps == 0:
-        return np.zeros(1)
-    eta = rng.standard_normal(n_steps)
-    y = lfilter([sigma], [1.0, -K], eta)
-    return np.concatenate(([0.0], y))
+    y = np.zeros(n_steps + 1)
+    prev = 0.0
+    for t, eta in enumerate(rng.standard_normal(n_steps).tolist(), 1):
+        prev = K * prev + sigma * eta
+        y[t] = prev
+    return y

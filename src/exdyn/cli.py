@@ -52,33 +52,28 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, spec, columns, rows):
-    lines = spec.echo_lines()
-    lines.append(",".join(columns))
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    # rows may be a generator: each one is formatted and written as it comes
+    with path.open("w") as fh:
+        fh.writelines(line + "\n" for line in spec.echo_lines())
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
     print(f"wrote {path}")
 
 
 def _run_trajectory(spec, outdir):
     rec = run_trajectory(spec.model, spec.n_steps, spec.stride)
     k, dim = spec.model.k, spec.model.domain.dim
-    rows = []
     if k == 2 and dim == 1:
         columns = ["n", "x1", "x2", "b"]
-        bs = rec.boundaries
-        for i, n in enumerate(rec.steps):
-            rows.append([str(int(n)), _fmt(rec.means[i, 0, 0]),
-                         _fmt(rec.means[i, 1, 0]), _fmt(bs[i])])
+        rows = ([str(int(n)), _fmt(m[0, 0]), _fmt(m[1, 0]), _fmt(b)]
+                for n, m, b in zip(rec.steps, rec.means, rec.boundaries))
     else:
         columns = ["n"]
         for j in range(k):
             columns.extend(f"x{j + 1}_{d + 1}" for d in range(dim))
         columns.extend(f"w{j + 1}" for j in range(k))
-        for i, n in enumerate(rec.steps):
-            row = [str(int(n))]
-            row.extend(_fmt(v) for v in rec.means[i].ravel())
-            row.extend(_fmt(v) for v in rec.weights[i])
-            rows.append(row)
+        rows = ([str(int(n)), *map(_fmt, m.ravel()), *map(_fmt, w)]
+                for n, m, w in zip(rec.steps, rec.means, rec.weights))
     _write_csv(outdir / "trajectory.csv", spec, columns, rows)
     return EXIT_OK, None
 
@@ -104,16 +99,16 @@ def _run_snapshot(spec, outdir):
     snap = figure1_snapshot(spec.model, spec.n_steps, spec.prune_threshold,
                             cloud=spec.build_cloud(),
                             grid_resolution=spec.grid_resolution)
-    rows = [[_fmt(p[0]), _fmt(p[1]), _fmt(w), str(int(c))]
-            for p, w, c in zip(snap.positions, snap.weights, snap.categories)]
+    rows = ([_fmt(p[0]), _fmt(p[1]), _fmt(w), str(int(c))]
+            for p, w, c in zip(snap.positions, snap.weights, snap.categories))
     _write_csv(outdir / "exemplars.csv", spec,
                ["x", "y", "weight", "category"], rows)
-    rows = [[str(j), _fmt(m[0]), _fmt(m[1]), _fmt(w)]
-            for j, (m, w) in enumerate(zip(snap.means, snap.category_weights))]
+    rows = ([str(j), _fmt(m[0]), _fmt(m[1]), _fmt(w)]
+            for j, (m, w) in enumerate(zip(snap.means, snap.category_weights)))
     _write_csv(outdir / "means.csv", spec,
                ["category", "x", "y", "weight"], rows)
-    rows = [[_fmt(s[0, 0]), _fmt(s[0, 1]), _fmt(s[1, 0]), _fmt(s[1, 1])]
-            for s in snap.boundary_segments]
+    rows = ([_fmt(s[0, 0]), _fmt(s[0, 1]), _fmt(s[1, 0]), _fmt(s[1, 1])]
+            for s in snap.boundary_segments)
     _write_csv(outdir / "boundaries.csv", spec,
                ["x0", "y0", "x1", "y1"], rows)
     return EXIT_OK, None

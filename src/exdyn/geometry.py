@@ -13,6 +13,8 @@ import numpy as np
 from .errors import ContractError, GeometryError
 from .model import Domain, SystemState, _as_points
 
+_ASSIGN_CHUNK = 1 << 16
+
 
 @dataclass
 class CellStats:
@@ -35,12 +37,18 @@ class CellStats:
 def assign_cells(points, means) -> np.ndarray:
     """Nearest-mean label for each row of ``points``, ties to the lower index.
 
-    Same squared-distance comparison as model.classify, vectorized.
+    Same squared-distance comparison as model.classify, vectorized over
+    blocks of _ASSIGN_CHUNK rows so the (rows, k, dim) temporary stays
+    bounded whatever the number of points.
     """
     points = np.asarray(points, dtype=np.float64)
     means = _as_points(means)
-    d2 = ((points[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
+    labels = np.empty(len(points), dtype=np.intp)
+    for start in range(0, len(points), _ASSIGN_CHUNK):
+        block = points[start:start + _ASSIGN_CHUNK]
+        d2 = ((block[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        labels[start:start + len(block)] = np.argmin(d2, axis=1)
+    return labels
 
 
 def _check_means(means) -> np.ndarray:

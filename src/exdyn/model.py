@@ -112,8 +112,8 @@ class DistributionSpec:
         if self.kind == "density":
             if not callable(self.density):
                 raise ParameterError("density kind requires a callable density")
-            if self.envelope is None or not (self.envelope > 0):
-                raise ParameterError("density kind requires a positive envelope constant")
+            if self.envelope is None or not 0 < self.envelope < math.inf:
+                raise ParameterError("density kind requires a positive finite envelope constant")
 
     @classmethod
     def uniform(cls):
@@ -134,7 +134,7 @@ def sample(dist: DistributionSpec, domain: Domain, rng) -> np.ndarray:
         u = rng.random(domain.dim)
         z = domain.lower + (domain.upper - domain.lower) * u
         f = float(dist.density(z))
-        if f <= 0.0:
+        if not f > 0.0:
             raise SamplingError(f"density evaluated to {f} at {z}; must be positive on the domain")
         if f > dist.envelope:
             raise SamplingError(

@@ -33,7 +33,8 @@ TOL = 0.01
 def test_assign_cells_agrees_with_classify():
     rng = substream(41)
     means = rng.random((5, 2))
-    pts = SQUARE.uniform_points(rng, 100_000)
+    # two full blocks of assign_cells' 1 << 16 rows plus a partial one
+    pts = SQUARE.uniform_points(rng, 2 * (1 << 16) + 7)
     labels = assign_cells(pts, means)
     for p, lab in zip(pts[:2000], labels[:2000]):
         assert classify(p, means) == lab

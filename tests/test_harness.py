@@ -163,17 +163,22 @@ def test_boundary_samples_step_zero_is_half():
     assert np.array_equal(out[0], np.full(16, 0.5))
 
 
-def test_boundary_samples_row_matches_single_run():
-    # replica r of grid point i draws from substream(seed, i, r), so one
-    # row of the vectorized ensemble is recoverable with run_trajectory
-    W = limit_total_weight(0.1)
-    out = boundary_samples(0.1, [0, 50, 200], replicas=8, master_seed=77,
-                           index=3)
-    cfg = pair_config(0.1, seed=77, weights=(W / 2.0, W / 2.0))
-    rec = run_trajectory(cfg, 200, stride=50, rng=replica_stream(77, 3, 5))
-    assert out[0][5] == rec.boundaries[0]
-    assert out[50][5] == rec.boundaries[1]
-    assert out[200][5] == rec.boundaries[4]
+@pytest.mark.parametrize("decay_rate", [0.1, 0.5])
+@pytest.mark.parametrize("index", [0, 3])
+def test_boundary_samples_row_matches_single_run(decay_rate, index):
+    # replica r of grid point i draws from substream(seed, i, r), so every
+    # row of the vectorized ensemble is recoverable with run_trajectory; the
+    # targets straddle the ensemble's 512-step chunk edges
+    targets = [0, 1, 50, 511, 512, 513, 1200]
+    W = limit_total_weight(decay_rate)
+    out = boundary_samples(decay_rate, targets, replicas=8, master_seed=77,
+                           index=index)
+    cfg = pair_config(decay_rate, seed=77, weights=(W / 2.0, W / 2.0))
+    for r in range(8):
+        rec = run_trajectory(cfg, 1200, stride=1,
+                             rng=replica_stream(77, index, r))
+        for n in targets:
+            assert out[n][r] == rec.boundaries[n]
 
 
 def test_boundary_samples_validation():

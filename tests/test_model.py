@@ -229,6 +229,11 @@ def test_density_must_be_positive():
     dist = DistributionSpec.from_density(lambda z: -1.0, envelope=1.0)
     with pytest.raises(SamplingError):
         sample(dist, UNIT, substream(1))
+    # NaN is neither <= 0 nor above the envelope; it must fail on the first
+    # draw, not after the whole retry budget
+    dist = DistributionSpec.from_density(lambda z: math.nan, envelope=1.0)
+    with pytest.raises(SamplingError, match="density evaluated to nan"):
+        sample(dist, UNIT, substream(1))
 
 
 def test_density_must_respect_envelope():
@@ -249,8 +254,9 @@ def test_distribution_spec_validation():
         DistributionSpec(kind="gaussian")
     with pytest.raises(ParameterError):
         DistributionSpec.from_density(None, envelope=1.0)
-    with pytest.raises(ParameterError):
-        DistributionSpec.from_density(lambda z: 1.0, envelope=0.0)
+    for envelope in (0.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            DistributionSpec.from_density(lambda z: 1.0, envelope=envelope)
 
 
 # ---------------------------------------------------------------------------
