@@ -26,6 +26,7 @@ from .model import Domain, ModelConfig, _advance, limit_total_weight
 
 INFINITE = math.inf
 _FIXED_POINT_TOL = 1e-10
+_NORMAL_BLOCK = 1 << 16
 
 
 def _is_unit_pair(config: ModelConfig) -> bool:
@@ -241,14 +242,20 @@ def simulate_ar1(decay_rate: float, n_steps: int, rng) -> np.ndarray:
     """Simulate Y^0 .. Y^n_steps of the boundary AR(1) from Y^0 = 0.
 
     Bit-deterministic for a given generator state: Y^(t+1) = K Y^t +
-    sigma eta^t is iterated in Python floats, written into the result.
+    sigma eta^t is iterated in Python floats.  The normals are drawn, and
+    the result written, in blocks of _NORMAL_BLOCK steps: the split draws
+    give the same stream as one draw of n_steps, and the memory beside the
+    result stays bounded.
     """
     K, sigma = boundary_params(decay_rate)
     if n_steps < 0:
         raise ParameterError("n_steps must be nonnegative")
     y = np.zeros(n_steps + 1)
     prev = 0.0
-    for t, eta in enumerate(rng.standard_normal(n_steps).tolist(), 1):
-        prev = K * prev + sigma * eta
-        y[t] = prev
+    for start in range(1, n_steps + 1, _NORMAL_BLOCK):
+        block = []
+        for eta in rng.standard_normal(min(_NORMAL_BLOCK, n_steps + 1 - start)).tolist():
+            prev = K * prev + sigma * eta
+            block.append(prev)
+        y[start:start + len(block)] = block
     return y

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, GeometryError
-from .model import Domain, SystemState, _as_points
+from .model import Domain, SystemState, _as_points, _squared_norms
 
 _ASSIGN_CHUNK = 1 << 16
 
@@ -46,7 +46,7 @@ def assign_cells(points, means) -> np.ndarray:
     labels = np.empty(len(points), dtype=np.intp)
     for start in range(0, len(points), _ASSIGN_CHUNK):
         block = points[start:start + _ASSIGN_CHUNK]
-        d2 = ((block[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        d2 = _squared_norms(block[:, None, :] - means[None, :, :])
         labels[start:start + len(block)] = np.argmin(d2, axis=1)
     return labels
 
@@ -62,17 +62,24 @@ def _check_means(means) -> np.ndarray:
 
 
 def cell_stats(means, domain: Domain, n_samples: int, rng) -> CellStats:
-    """Estimate cell volumes and centroids from n uniform sample points."""
+    """Estimate cell volumes and centroids from n uniform sample points.
+
+    The points are drawn, classified and summed in blocks of _ASSIGN_CHUNK
+    rows, so memory stays bounded whatever n_samples is; the blocks take
+    the same draws and add them in the same order as a single batch would.
+    """
     means = _check_means(means)
     if n_samples < 1:
         raise GeometryError("n_samples must be at least 1")
     k = means.shape[0]
-    pts = domain.uniform_points(rng, n_samples)
-    labels = assign_cells(pts, means)
-    counts = np.bincount(labels, minlength=k)
-    volumes = counts * (domain.volume / n_samples)
+    counts = np.zeros(k, dtype=np.intp)
     sums = np.zeros((k, domain.dim))
-    np.add.at(sums, labels, pts)
+    for start in range(0, n_samples, _ASSIGN_CHUNK):
+        pts = domain.uniform_points(rng, min(_ASSIGN_CHUNK, n_samples - start))
+        labels = assign_cells(pts, means)
+        counts += np.bincount(labels, minlength=k)
+        np.add.at(sums, labels, pts)
+    volumes = counts * (domain.volume / n_samples)
     centroids = np.full((k, domain.dim), np.nan)
     nonempty = counts > 0
     centroids[nonempty] = sums[nonempty] / counts[nonempty, None]

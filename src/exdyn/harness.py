@@ -8,12 +8,16 @@ non-collapse, non-convergence, and the zero-decay centroidal limit), and a
 Everything is deterministic given its seed.  A trajectory consumes the bare
 stream of its config seed; replica r of an ensemble keyed by (master_seed,
 grid index i) consumes substream(master_seed, i, r); geometry estimates use
-tagged substreams so they never disturb trajectory draws.  The 1-D
-two-category uniform case runs through a specialized scalar loop, and
-ensembles through a vectorized one; both reproduce the generic step
-bit for bit.  The step-reference test in tests/test_harness.py proves it
-for single runs: across k, dim and decay rates on both sides of the engine
-choice, every recorded state equals iterating model.step on the same draws.
+tagged substreams so they never disturb trajectory draws.
+
+Single runs go through one of two scalar loops over Python floats: the 1-D
+two-category uniform case without an exemplar cloud through a pair loop,
+every other case through a generic one.  Both repeat model._advance's
+arithmetic operation for operation, and ensembles run it vectorized over
+replicas.  The step-reference tests in tests/test_harness.py prove it for
+single runs: across k, dim, decay rates, both distribution kinds and runs
+with a cloud, every recorded state equals iterating model.step on the same
+draws.
 """
 
 from __future__ import annotations
@@ -30,13 +34,13 @@ from .model import (
     ExemplarCloud,
     ModelConfig,
     SystemState,
-    _advance,
     limit_total_weight,
     sample,
 )
 from .rng import GEOMETRY_STREAM, substream
 
-_CHUNK = 1 << 16
+# draws per block; the engines hold each block as Python floats
+_CHUNK = 1 << 12
 _ENSEMBLE_CHUNK = 512
 
 MOVEMENT_EPSILON = 1e-4
@@ -72,8 +76,12 @@ class TrajectoryRecord:
 
 
 def _trajectory_general(config, n_steps, stride, rng, record_winners, cloud):
-    state = config.initial_state()
-    means, weights = state.means, state.weights
+    # scalar loop over Python floats; arithmetic mirrors _advance: squared
+    # distances summed over the coordinates in order, the first strict
+    # minimum wins, every weight decays, the winner absorbs the point
+    means = config.init_means.tolist()
+    weights = config.init_weights.tolist()
+    cats = range(config.k)
     decay = math.exp(-config.decay_rate)
     uniform = config.dist.kind == "uniform"
     n_rec = n_steps // stride + 1
@@ -87,10 +95,28 @@ def _trajectory_general(config, n_steps, stride, rng, record_winners, cloud):
     r = 1
     while t < n_steps:
         m = min(_CHUNK, n_steps - t)
-        zs = config.domain.uniform_points(rng, m) if uniform else None
-        for j in range(m):
-            z = zs[j] if uniform else sample(config.dist, config.domain, rng)
-            i = _advance(means, weights, z, decay)
+        if uniform:
+            zs = config.domain.uniform_points(rng, m).tolist()
+        else:
+            zs = (sample(config.dist, config.domain, rng).tolist() for _ in range(m))
+        for z in zs:
+            i = 0
+            best = math.inf
+            for j in cats:
+                d = 0.0
+                for a, b in zip(means[j], z):
+                    e = a - b
+                    d += e * e
+                if d < best:
+                    best = d
+                    i = j
+                weights[j] *= decay
+            wi = weights[i]
+            w1 = wi + 1.0
+            x = means[i]
+            for c, b in enumerate(z):
+                x[c] = (x[c] * wi + b) / w1
+            weights[i] = w1
             if cloud is not None:
                 cloud.add(i, z, t + 1)
             if record_winners:

@@ -50,8 +50,8 @@ class Domain:
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lower, dtype=np.float64))
         hi = np.atleast_1d(np.asarray(self.upper, dtype=np.float64))
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ParameterError("domain bounds must be 1-d arrays of equal length")
+        if lo.shape != hi.shape or lo.ndim != 1 or lo.size == 0:
+            raise ParameterError("domain bounds must be non-empty 1-d arrays of equal length")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ParameterError("domain bounds must be finite")
         if not np.all(lo < hi):
@@ -234,24 +234,38 @@ class ModelConfig:
         return SystemState(self.init_means.copy(), self.init_weights.copy(), 0)
 
 
+def _squared_norms(diff) -> np.ndarray:
+    """Sum of squares over the last axis, adding the coordinates in order.
+
+    This is the order of the scalar engines' ``d += e * e`` loop.  numpy's
+    ``sum`` adds in the same order below 8 coordinates but pairwise from 8
+    on, which can flip a near-tie between two distances.
+    """
+    sq = diff * diff
+    d2 = sq[..., 0].copy()
+    for c in range(1, sq.shape[-1]):
+        d2 += sq[..., c]
+    return d2
+
+
 def classify(z, means, domain: Domain = None) -> int:
     """Index of the nearest mean to z (Euclidean), ties to the lower index."""
     means = _as_points(means)
     z = _as_point(z, means.shape[1])
     if domain is not None and not domain.contains(z):
         raise DomainError(f"point {z} lies outside the domain")
-    d2 = ((means - z) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
+    return int(np.argmin(_squared_norms(means - z)))
 
 
 def _advance(means, weights, z, decay) -> int:
     """In-place one-step update; returns the winning category index.
 
-    All trajectory engines in the package route through this function so
-    that scalar and vectorized paths produce bit-identical states.
+    This is the reference arithmetic.  model.step and ar1.mean_map run it;
+    the trajectory engines in harness repeat it in Python floats, and the
+    step-reference test in tests/test_harness.py checks that their states
+    equal iterating model.step bit for bit.
     """
-    d2 = ((means - z) ** 2).sum(axis=1)
-    i = int(np.argmin(d2))
+    i = int(np.argmin(_squared_norms(means - z)))
     weights *= decay
     wi = weights[i]
     means[i] = (means[i] * wi + z) / (wi + 1.0)
@@ -311,13 +325,17 @@ class ExemplarCloud:
         locations = _as_points(locations, self.dim)
         weights = np.atleast_1d(np.asarray(weights, dtype=np.float64))
         for loc, w in zip(locations, weights):
-            self._locations[category].append(np.array(loc, dtype=np.float64))
+            self._locations[category].append(tuple(loc.tolist()))
             self._weights0[category].append(float(w))
             self._births[category].append(int(birth_step))
 
     def add(self, category: int, location, birth_step: int):
-        """Record the exemplar absorbed at ``birth_step`` (weight 1 at birth)."""
-        self._locations[category].append(np.array(location, dtype=np.float64))
+        """Record the exemplar absorbed at ``birth_step`` (weight 1 at birth).
+
+        Stores an immutable copy, so later changes to ``location`` do not
+        reach the cloud.
+        """
+        self._locations[category].append(tuple(location))
         self._weights0[category].append(1.0)
         self._births[category].append(int(birth_step))
 

@@ -196,13 +196,16 @@ def test_autocovariance_identities():
 # AR(1) simulation
 
 def test_simulate_ar1_equals_naive_recursion():
+    # one draw of all the normals, against simulate_ar1's blocks of 1 << 16:
+    # two full blocks plus a partial one
+    n = 2 * (1 << 16) + 3
     K, sigma = boundary_params(0.3)
-    eta = substream(55).standard_normal(200)
-    ref = np.empty(201)
+    eta = substream(55).standard_normal(n)
+    ref = np.empty(n + 1)
     ref[0] = 0.0
     for i, e in enumerate(eta):
         ref[i + 1] = K * ref[i] + sigma * e
-    got = simulate_ar1(0.3, 200, substream(55))
+    got = simulate_ar1(0.3, n, substream(55))
     assert np.array_equal(got, ref)
 
 

@@ -43,6 +43,25 @@ def test_assign_cells_agrees_with_classify():
     assert np.array_equal(labels, np.argmin(d2, axis=1))
 
 
+def test_cell_stats_blocks_match_single_batch():
+    # cell_stats draws and accumulates in blocks of 1 << 16 rows; this
+    # n_samples crosses two block edges, and the reference draws, classifies
+    # and sums every point at once
+    n = 2 * (1 << 16) + 11
+    means = substream(42).random((4, 2))
+    stats = cell_stats(means, SQUARE, n, substream(43))
+    pts = SQUARE.uniform_points(substream(43), n)
+    d2 = ((pts[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+    labels = np.argmin(d2, axis=1)
+    counts = np.bincount(labels, minlength=4)
+    sums = np.zeros((4, 2))
+    np.add.at(sums, labels, pts)
+    assert np.array_equal(stats.counts, counts)
+    assert np.array_equal(stats.volumes, counts * (SQUARE.volume / n))
+    assert np.array_equal(stats.centroids, sums / counts[:, None])
+    assert stats.samples_used == n
+
+
 def test_cell_stats_symmetric_split_1d():
     stats = cell_stats([0.25, 0.75], UNIT, N, substream(5))
     np.testing.assert_allclose(stats.volumes, [0.5, 0.5], atol=TOL)

@@ -12,6 +12,7 @@ from exdyn import (
     ExemplarCloud,
     ModelConfig,
     ParameterError,
+    assign_cells,
     boundary_samples,
     boundary_variance_curve,
     classify,
@@ -105,16 +106,98 @@ def test_run_trajectory_matches_step_reference(k, dim, decay_rate, lower, span,
                       init_means=domain.uniform_points(init, k),
                       init_weights=init.uniform(0.5, 50.0, k), seed=seed)
     rec = run_trajectory(cfg, n_steps, stride=1, record_winners=True)
+    assert_replays_step(cfg, rec, n_steps)
+
+
+def assert_replays_step(cfg, rec, n_steps):
+    """rec, run with stride=1 and record_winners=True, holds the states of
+    iterating model.step on sample(...) draws from the config's stream;
+    returns the draws."""
     assert np.array_equal(rec.steps, np.arange(n_steps + 1))
     g = substream(cfg.seed)
     state = cfg.initial_state()
+    draws = []
     for t in range(n_steps + 1):
         if t:
             z = sample(cfg.dist, cfg.domain, g)
+            draws.append(z)
             assert rec.winners[t - 1] == classify(z, state.means)
             state = step(state, z, cfg.decay_rate)
         assert np.array_equal(rec.means[t], state.means)
         assert np.array_equal(rec.weights[t], state.weights)
+    return draws
+
+
+@pytest.mark.parametrize("k,dim", [(2, 1), (3, 2), (4, 3)])
+def test_density_run_matches_step_reference(k, dim):
+    # the density kind draws one rejection sample per step on the generic
+    # engine, including the k=2 1-D shape the pair engine takes when uniform
+    domain = Domain(np.full(dim, -1.0), np.full(dim, 2.0))
+    dist = DistributionSpec.from_density(
+        lambda z: 1.0 + 0.5 * math.sin(3.0 * float(z.sum())), envelope=1.5)
+    init = substream(k, dim)
+    cfg = ModelConfig(k=k, decay_rate=0.05, domain=domain, dist=dist,
+                      init_means=domain.uniform_points(init, k),
+                      init_weights=init.uniform(0.5, 5.0, k), seed=7 * k + dim)
+    rec = run_trajectory(cfg, 400, stride=1, record_winners=True)
+    assert_replays_step(cfg, rec, 400)
+
+
+def test_cloud_run_matches_step_reference():
+    # with a cloud the k=2 1-D shape runs on the generic engine, which hands
+    # every draw to the cloud with birth step t for the t-th update
+    cfg = pair_config(0.05, seed=13)
+    cloud = ExemplarCloud(2, 1)
+    n = 600
+    rec = run_trajectory(cfg, n, stride=1, record_winners=True, cloud=cloud)
+    draws = np.array(assert_replays_step(cfg, rec, n))
+    assert cloud.size() == n
+    for j in range(2):
+        won = np.flatnonzero(rec.winners == j)
+        assert won.size > 0
+        locs, _ = cloud.category_arrays(j, n, cfg.decay_rate)
+        assert np.array_equal(locs, draws[won])
+        assert cloud._births[j] == (won + 1).tolist()
+
+
+class _FixedDraws:
+    """Stands in for a generator whose uniform draws are given."""
+
+    def __init__(self, u):
+        self.u = np.array(u, ndmin=2)
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u
+
+
+def test_distances_add_coordinates_in_order():
+    # In 8 coordinates numpy's sum adds pairwise.  These two means are
+    # equally far from z when the squared coordinates are added in order, so
+    # the tie goes to category 0, while a pairwise sum puts category 1 a
+    # rounding error closer.  Every comparison in the package must agree.
+    z = [0.4548490008510561, 0.5614363972935716, 0.4536730651949957,
+         0.4536125739135259, 0.4141763568460314, 0.4934417627650682,
+         0.4528410879880937, 0.5777884076062985]
+    means = np.array([
+        [0.326639988376625, 0.7256965563126941, 0.4460199818263669,
+         0.4344240020742911, 0.6931344818143181, 0.7323781633519949,
+         0.20026167824662477, 0.42491097000125794],
+        [0.6191091598701786, 0.3088569875521027, 0.21473666460806895,
+         0.6064900115185664, 0.28596734437160026, 0.4742531909258334,
+         0.4451880046194649, 0.8567465325745852]])
+    domain = Domain(np.zeros(8), np.ones(8))
+    cfg = ModelConfig(k=2, decay_rate=0.1, domain=domain,
+                      dist=DistributionSpec.uniform(), init_means=means,
+                      init_weights=np.array([1.0, 2.0]), seed=0)
+    assert classify(z, means) == 0
+    assert assign_cells([z], means)[0] == 0
+    state = step(cfg.initial_state(), z, cfg.decay_rate)
+    assert np.array_equal(state.means[1], means[1])
+    rec = run_trajectory(cfg, 1, record_winners=True, rng=_FixedDraws(z))
+    assert rec.winners[0] == 0
+    assert np.array_equal(rec.means[1], state.means)
+    assert np.array_equal(rec.weights[1], state.weights)
 
 
 def test_trajectory_deterministic_and_seed_sensitive():

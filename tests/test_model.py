@@ -49,6 +49,8 @@ def test_domain_rejects_empty_interior():
         Domain(np.array([-math.inf, 0.0]), np.array([0.0, 1.0]))
     with pytest.raises(ParameterError):
         Domain(np.array([0.0]), np.array([math.nan]))
+    with pytest.raises(ParameterError):
+        Domain(np.array([]), np.array([]))
 
 
 def test_domain_geometry():
@@ -358,6 +360,18 @@ def test_cloud_decays_weights_lazily():
     assert np.array_equal(w, [3.0 * np.exp(-0.5 * 3), 1.0 * np.exp(-0.5 * 2)])
     assert cloud.size() == 2
     assert cloud.size(0) == 2
+
+
+def test_cloud_add_keeps_a_copy():
+    cloud = ExemplarCloud(k=2, dim=2)
+    z = np.array([0.25, 0.5])
+    cloud.add(0, z, birth_step=1)
+    z[0] = 0.75
+    y = [0.125, 0.375]
+    cloud.add(1, y, birth_step=2)
+    y[1] = 1.0
+    assert np.array_equal(cloud.category_arrays(0, 2, 0.0)[0], [[0.25, 0.5]])
+    assert np.array_equal(cloud.category_arrays(1, 2, 0.0)[0], [[0.125, 0.375]])
 
 
 def test_cloud_pruning_drops_light_exemplars():
