@@ -15,7 +15,7 @@ def main():
     spec = parse_config("preset = fig1\n")
     snap = figure1_snapshot(spec.model, spec.n_steps,
                             prune_threshold=spec.prune_threshold,
-                            cloud=spec.build_cloud(),
+                            scatter_points=spec.scatter_points,
                             grid_resolution=spec.grid_resolution)
 
     print(f"after {snap.step} steps, cutoff {snap.prune_threshold}:")

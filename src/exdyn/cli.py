@@ -28,6 +28,7 @@ from .harness import (
     figure1_snapshot,
     property_macqueen_cvt,
     run_trajectory,
+    suite_input_problem,
     theorem_suite,
 )
 
@@ -97,7 +98,7 @@ def _run_variance_curve(spec, outdir):
 
 def _run_snapshot(spec, outdir):
     snap = figure1_snapshot(spec.model, spec.n_steps, spec.prune_threshold,
-                            cloud=spec.build_cloud(),
+                            scatter_points=spec.scatter_points,
                             grid_resolution=spec.grid_resolution)
     rows = ([_fmt(p[0]), _fmt(p[1]), _fmt(w), str(int(c))]
             for p, w, c in zip(snap.positions, snap.weights, snap.categories))
@@ -115,6 +116,9 @@ def _run_snapshot(spec, outdir):
 
 
 def _run_properties(spec, outdir):
+    problem = suite_input_problem(spec.model, spec.n_steps)
+    if problem:
+        raise ConfigError(problem[1], field=problem[0])
     if spec.model.decay_rate == 0:
         results = [(property_macqueen_cvt(spec.model, spec.n_steps), True)]
     else:

@@ -7,6 +7,12 @@ Parsing produces a RunSpecFile whose ``expanded`` mapping is the canonical,
 fully explicit form: echoing it back through ``# key = value`` header lines
 and re-parsing yields the same run.
 
+The key vocabulary is declared once: ``_GLOBAL_KEYS`` and the model keys
+that ``_parse_model`` reads, then ``_RUN_KEYS``, the single table of every
+other key.  Each of its entries gives the experiments a key applies to, its
+parser and its default, so the allowed keys of each experiment and the echo
+order (global keys, model keys, then the table's order) follow from it.
+
 Keys are checked twice: unknown or ill-formed keys are rejected with their
 line number, and value-level violations are reported with the field name.
 """
@@ -19,38 +25,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, ParameterError
-from .model import DistributionSpec, Domain, ExemplarCloud, ModelConfig
+from .model import DistributionSpec, Domain, ModelConfig
 from .presets import preset_keys, scatter_for_seed
 
 EXPERIMENTS = ("trajectory", "variance-curve", "snapshot", "properties", "ar1-table")
 
-_MODEL_KEYS = frozenset({
+_GLOBAL_KEYS = ("experiment", "seed", "out")
+
+# experiments that simulate one model, and the keys _parse_model reads for it
+_MODEL_EXPERIMENTS = ("trajectory", "snapshot", "properties")
+_MODEL_KEYS = (
     "k", "lambda", "dim", "domain", "distribution",
     "init", "init_means", "init_weights",
     "scatter_centers", "scatter_count", "scatter_sigma",
-})
-
-_GLOBAL_KEYS = frozenset({"experiment", "seed", "out"})
-
-_EXPERIMENT_KEYS = {
-    "trajectory": _MODEL_KEYS | {"n_steps", "stride"},
-    "snapshot": _MODEL_KEYS | {"n_steps", "prune_threshold", "grid_resolution"},
-    "properties": _MODEL_KEYS | {"n_steps", "window", "check_stride", "negative_control"},
-    "variance-curve": frozenset({"lambda_grid", "n_list", "replicas"}),
-    "ar1-table": frozenset({"lambda_grid"}),
-}
-
-_ALL_KEYS = _GLOBAL_KEYS | {"preset"} | frozenset().union(*_EXPERIMENT_KEYS.values())
-
-# echo order of the expanded config; also the only keys that may be echoed
-_KEY_ORDER = (
-    "experiment", "seed",
-    "k", "lambda", "dim", "domain", "distribution",
-    "init", "init_means", "init_weights",
-    "scatter_centers", "scatter_count", "scatter_sigma",
-    "n_steps", "stride", "replicas", "lambda_grid", "n_list",
-    "window", "check_stride", "negative_control",
-    "prune_threshold", "grid_resolution", "out",
 )
 
 
@@ -78,17 +65,6 @@ class RunSpecFile:
     negative_control: bool = None
     prune_threshold: float = None
     grid_resolution: int = None
-
-    def build_cloud(self):
-        """Exemplar cloud for scatter-initialized runs, else None: every
-        scatter point at birth step 0 with weight 1."""
-        if self.scatter_points is None:
-            return None
-        k, count, dim = self.scatter_points.shape
-        cloud = ExemplarCloud(k, dim)
-        for j in range(k):
-            cloud.seed_category(j, self.scatter_points[j], np.ones(count), birth_step=0)
-        return cloud
 
     def echo_lines(self):
         return [f"# {k} = {v}" for k, v in self.expanded.items()]
@@ -138,15 +114,14 @@ def _merge(entries, overrides):
     return seen
 
 
-def _take(seen, key):
-    value, lineno = seen.get(key, (None, None))
-    return value, lineno
-
-
-def _require(seen, key):
-    if key not in seen:
+def _raw(seen, key, default=None):
+    """(text, line) of ``key``; a missing key reads as ``default`` (config
+    text, line None), and None makes the key required."""
+    if key in seen:
+        return seen[key]
+    if default is None:
         raise ConfigError(f"missing required key: {key}", field=key)
-    return seen[key]
+    return default, None
 
 
 def _int_value(key, raw, lineno, minimum=None):
@@ -161,7 +136,7 @@ def _int_value(key, raw, lineno, minimum=None):
     return value
 
 
-def _float_value(key, raw, lineno, minimum=None, strict=False):
+def _float_value(key, raw, lineno, minimum=None):
     try:
         value = float(raw)
     except ValueError:
@@ -169,13 +144,9 @@ def _float_value(key, raw, lineno, minimum=None, strict=False):
                           line=lineno, field=key) from None
     if not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {raw!r}", line=lineno, field=key)
-    if minimum is not None:
-        if strict and not value > minimum:
-            raise ConfigError(f"{key} must be > {minimum}, got {value}",
-                              line=lineno, field=key)
-        if not strict and value < minimum:
-            raise ConfigError(f"{key} must be >= {minimum}, got {value}",
-                              line=lineno, field=key)
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {value}",
+                          line=lineno, field=key)
     return value
 
 
@@ -186,15 +157,6 @@ def _float_list(key, raw, lineno):
     return [_float_value(key, tok, lineno) for tok in tokens]
 
 
-def _bool_value(key, raw, lineno):
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise ConfigError(f"{key} must be 'true' or 'false', got {raw!r}",
-                      line=lineno, field=key)
-
-
 def _format_float(value) -> str:
     return repr(float(value))
 
@@ -203,11 +165,88 @@ def _format_floats(values) -> str:
     return " ".join(repr(float(v)) for v in values)
 
 
-def _parse_model(seen, seed, experiment):
-    k = _int_value("k", *_require(seen, "k"), minimum=1)
-    decay = _float_value("lambda", *_require(seen, "lambda"), minimum=0.0)
+# parsers of the run-key table: (key, raw text, line) -> (value, echo text)
 
-    domain_vals = _float_list("domain", *_require(seen, "domain"))
+def _integer(minimum):
+    def parse(key, raw, lineno):
+        value = _int_value(key, raw, lineno, minimum)
+        return value, str(value)
+    return parse
+
+
+def _nonnegative_float(key, raw, lineno):
+    value = _float_value(key, raw, lineno, minimum=0.0)
+    return value, _format_float(value)
+
+
+def _flag(key, raw, lineno):
+    if raw not in ("true", "false"):
+        raise ConfigError(f"{key} must be 'true' or 'false', got {raw!r}",
+                          line=lineno, field=key)
+    return raw == "true", raw
+
+
+def _decay_grid(key, raw, lineno):
+    grid = _float_list(key, raw, lineno)
+    for lam in grid:
+        if lam <= 0:
+            raise ConfigError(f"lambda_grid entries must be > 0, got {lam}",
+                              line=lineno, field=key)
+    return tuple(grid), _format_floats(grid)
+
+
+def _horizons(key, raw, lineno):
+    n_list = tuple(math.inf if tok == "inf" else _int_value(key, tok, lineno, minimum=0)
+                   for tok in raw.replace(",", " ").split())
+    if not n_list:
+        raise ConfigError("n_list must list at least one horizon", line=lineno, field=key)
+    return n_list, " ".join("inf" if n == math.inf else str(n) for n in n_list)
+
+
+# Every key besides the global and model keys, in echo order:
+# (key, experiments it applies to, parser, default as config text).
+# A default of None makes the key required.  A default goes through the
+# key's parser like written text, so a header reads the same whether the
+# key was written out or left to its default.
+_RUN_KEYS = (
+    ("n_steps", _MODEL_EXPERIMENTS, _integer(0), None),
+    ("stride", ("trajectory",), _integer(1), "1"),
+    ("replicas", ("variance-curve",), _integer(2), "10000"),
+    ("lambda_grid", ("variance-curve", "ar1-table"), _decay_grid, None),
+    ("n_list", ("variance-curve",), _horizons, None),
+    ("window", ("properties",), _integer(1), "10000"),
+    ("check_stride", ("properties",), _integer(1), "1000"),
+    ("negative_control", ("properties",), _flag, "true"),
+    ("prune_threshold", ("snapshot",), _nonnegative_float, "0.01"),
+    ("grid_resolution", ("snapshot",), _integer(2), "512"),
+)
+
+_ALL_KEYS = frozenset(_GLOBAL_KEYS + _MODEL_KEYS + ("preset",)
+                      + tuple(entry[0] for entry in _RUN_KEYS))
+
+
+def _allowed_keys(experiment):
+    keys = set(_GLOBAL_KEYS)
+    if experiment in _MODEL_EXPERIMENTS:
+        keys.update(_MODEL_KEYS)
+    keys.update(key for key, experiments, _, _ in _RUN_KEYS if experiment in experiments)
+    return keys
+
+
+def _counted_floats(seen, key, name, count):
+    # the numbers of a required key that must list ``name`` = ``count`` of them
+    values = _float_list(key, *_raw(seen, key))
+    if len(values) != count:
+        raise ConfigError(f"{key} must list {name} = {count} numbers, got {len(values)}",
+                          line=seen[key][1], field=key)
+    return values
+
+
+def _parse_model(seen, seed, experiment):
+    k = _int_value("k", *_raw(seen, "k"), minimum=1)
+    decay = _float_value("lambda", *_raw(seen, "lambda"), minimum=0.0)
+
+    domain_vals = _float_list("domain", *_raw(seen, "domain"))
     if len(domain_vals) % 2:
         raise ConfigError(
             "domain must list lower and upper per axis (an even count of numbers)",
@@ -226,59 +265,51 @@ def _parse_model(seen, seed, experiment):
     except ParameterError as err:
         raise ConfigError(str(err), line=seen["domain"][1], field="domain") from None
 
-    dist_raw, dist_line = _take(seen, "distribution")
-    if dist_raw is None:
-        dist_raw = "uniform"
-    if dist_raw != "uniform":
+    dist, dist_line = _raw(seen, "distribution", "uniform")
+    if dist != "uniform":
         raise ConfigError(
             "only the 'uniform' distribution is supported in config files "
             "(custom densities are library-level)",
             line=dist_line, field="distribution")
 
-    init_raw, init_line = _take(seen, "init")
-    init = init_raw or "explicit"
+    init, init_line = _raw(seen, "init", "explicit")
     if init not in ("explicit", "scatter"):
         raise ConfigError(f"init must be 'explicit' or 'scatter', got {init!r}",
                           line=init_line, field="init")
 
+    echo = {
+        "k": str(k),
+        "lambda": _format_float(decay),
+        "dim": str(dim),
+        "domain": _format_floats(domain_vals),
+        "distribution": dist,
+        "init": init,
+    }
+    unused = (("scatter_centers", "scatter_count", "scatter_sigma") if init == "explicit"
+              else ("init_means", "init_weights"))
+    for key in unused:
+        if key in seen:
+            raise ConfigError(f"{key} does not apply when init = {init}",
+                              line=seen[key][1], field=key)
     scatter_points = None
     if init == "explicit":
-        for key in ("scatter_centers", "scatter_count", "scatter_sigma"):
-            if key in seen:
-                raise ConfigError(f"{key} does not apply when init = explicit",
-                                  line=seen[key][1], field=key)
-        means = _float_list("init_means", *_require(seen, "init_means"))
-        if len(means) != k * dim:
-            raise ConfigError(
-                f"init_means must list k*dim = {k * dim} numbers, got {len(means)}",
-                line=seen["init_means"][1], field="init_means")
-        weights = _float_list("init_weights", *_require(seen, "init_weights"))
-        if len(weights) != k:
-            raise ConfigError(
-                f"init_weights must list k = {k} numbers, got {len(weights)}",
-                line=seen["init_weights"][1], field="init_weights")
+        means = _counted_floats(seen, "init_means", "k*dim", k * dim)
+        weights = _counted_floats(seen, "init_weights", "k", k)
         init_means = np.array(means).reshape(k, dim)
         init_weights = np.array(weights)
-        scatter = None
+        echo["init_means"] = _format_floats(means)
+        echo["init_weights"] = _format_floats(weights)
     else:
-        for key in ("init_means", "init_weights"):
-            if key in seen:
-                raise ConfigError(f"{key} does not apply when init = scatter",
-                                  line=seen[key][1], field=key)
-        centers = _float_list("scatter_centers", *_require(seen, "scatter_centers"))
-        if len(centers) != k * dim:
-            raise ConfigError(
-                f"scatter_centers must list k*dim = {k * dim} numbers, got {len(centers)}",
-                line=seen["scatter_centers"][1], field="scatter_centers")
-        count_raw, count_line = _take(seen, "scatter_count")
-        count = _int_value("scatter_count", count_raw, count_line, minimum=1) \
-            if count_raw is not None else 100
-        sigma_raw, sigma_line = _take(seen, "scatter_sigma")
-        sigma = _float_value("scatter_sigma", sigma_raw, sigma_line, minimum=0.0) \
-            if sigma_raw is not None else 3.0
-        scatter = (centers, count, sigma)
+        centers = _counted_floats(seen, "scatter_centers", "k*dim", k * dim)
+        count = _int_value("scatter_count", *_raw(seen, "scatter_count", "100"),
+                           minimum=1)
+        sigma = _float_value("scatter_sigma", *_raw(seen, "scatter_sigma", "3.0"),
+                             minimum=0.0)
         init_means, init_weights, scatter_points = scatter_for_seed(
             np.array(centers).reshape(k, dim), count, sigma, domain, seed)
+        echo["scatter_centers"] = _format_floats(centers)
+        echo["scatter_count"] = str(count)
+        echo["scatter_sigma"] = _format_float(sigma)
 
     try:
         model = ModelConfig(k=k, decay_rate=decay, domain=domain,
@@ -290,23 +321,6 @@ def _parse_model(seen, seed, experiment):
 
     if experiment == "snapshot" and dim != 2:
         raise ConfigError("snapshot requires a 2-axis domain", field="dim")
-
-    echo = {
-        "k": str(k),
-        "lambda": _format_float(decay),
-        "dim": str(dim),
-        "domain": _format_floats(domain_vals),
-        "distribution": "uniform",
-        "init": init,
-    }
-    if init == "explicit":
-        echo["init_means"] = _format_floats(init_means.ravel())
-        echo["init_weights"] = _format_floats(init_weights)
-    else:
-        centers, count, sigma = scatter
-        echo["scatter_centers"] = _format_floats(centers)
-        echo["scatter_count"] = str(count)
-        echo["scatter_sigma"] = _format_float(sigma)
     return model, scatter_points, echo
 
 
@@ -320,102 +334,40 @@ def parse_config(text: str, overrides: dict = None,
     seen = _merge(_tokenize(text), overrides)
 
     if "experiment" in seen:
-        exp_raw, exp_line = seen["experiment"]
+        experiment, exp_line = seen["experiment"]
     elif default_experiment is not None:
-        exp_raw, exp_line = default_experiment, None
+        experiment, exp_line = default_experiment, None
     else:
         raise ConfigError("missing required key: experiment", field="experiment")
-    if exp_raw not in EXPERIMENTS:
+    if experiment not in EXPERIMENTS:
         raise ConfigError(
-            f"unknown experiment {exp_raw!r}; expected one of {', '.join(EXPERIMENTS)}",
+            f"unknown experiment {experiment!r}; expected one of {', '.join(EXPERIMENTS)}",
             line=exp_line, field="experiment")
-    experiment = exp_raw
 
-    allowed = _EXPERIMENT_KEYS[experiment] | _GLOBAL_KEYS
+    allowed = _allowed_keys(experiment)
     for key, (_, lineno) in seen.items():
         if key not in allowed:
             raise ConfigError(
                 f"key {key!r} does not apply to experiment {experiment!r}",
                 line=lineno, field=key)
 
-    seed = _int_value("seed", *_require(seen, "seed"))
+    seed = _int_value("seed", *_raw(seen, "seed"))
     if not 0 <= seed < 2**64:
         raise ConfigError("seed must fit in 64 bits", line=seen["seed"][1], field="seed")
-    out, _ = _take(seen, "out")
 
+    # the echo's insertion order is the header's line order; out is accepted
+    # but never echoed, so headers stay byte-identical wherever files land
     echo = {"experiment": experiment, "seed": str(seed)}
     fields = {}
-
-    if experiment in ("trajectory", "snapshot", "properties"):
-        model, scatter_points, model_echo = _parse_model(seen, seed, experiment)
+    if experiment in _MODEL_EXPERIMENTS:
+        fields["model"], fields["scatter_points"], model_echo = _parse_model(
+            seen, seed, experiment)
         echo.update(model_echo)
-        fields["model"] = model
-        fields["scatter_points"] = scatter_points
-        n_steps = _int_value("n_steps", *_require(seen, "n_steps"), minimum=0)
-        fields["n_steps"] = n_steps
-        echo["n_steps"] = str(n_steps)
-
-    if experiment == "trajectory":
-        raw, line = _take(seen, "stride")
-        stride = _int_value("stride", raw, line, minimum=1) if raw is not None else 1
-        fields["stride"] = stride
-        echo["stride"] = str(stride)
-    elif experiment == "snapshot":
-        raw, line = _take(seen, "prune_threshold")
-        thr = _float_value("prune_threshold", raw, line, minimum=0.0) \
-            if raw is not None else 0.01
-        raw, line = _take(seen, "grid_resolution")
-        res = _int_value("grid_resolution", raw, line, minimum=2) \
-            if raw is not None else 512
-        fields["prune_threshold"] = thr
-        fields["grid_resolution"] = res
-        echo["prune_threshold"] = _format_float(thr)
-        echo["grid_resolution"] = str(res)
-    elif experiment == "properties":
-        raw, line = _take(seen, "window")
-        window = _int_value("window", raw, line, minimum=1) if raw is not None else 10_000
-        raw, line = _take(seen, "check_stride")
-        check = _int_value("check_stride", raw, line, minimum=1) if raw is not None else 1000
-        raw, line = _take(seen, "negative_control")
-        control = _bool_value("negative_control", raw, line) if raw is not None else True
-        fields.update(window=window, check_stride=check, negative_control=control)
-        echo["window"] = str(window)
-        echo["check_stride"] = str(check)
-        echo["negative_control"] = "true" if control else "false"
-    elif experiment in ("variance-curve", "ar1-table"):
-        raw, line = _require(seen, "lambda_grid")
-        grid = _float_list("lambda_grid", raw, line)
-        for lam in grid:
-            if lam <= 0:
-                raise ConfigError(f"lambda_grid entries must be > 0, got {lam}",
-                                  line=line, field="lambda_grid")
-        fields["lambda_grid"] = tuple(grid)
-        echo["lambda_grid"] = _format_floats(grid)
-        if experiment == "variance-curve":
-            raw, line = _require(seen, "n_list")
-            n_list = []
-            for tok in raw.replace(",", " ").split():
-                if tok == "inf":
-                    n_list.append(math.inf)
-                else:
-                    n_list.append(_int_value("n_list", tok, line, minimum=0))
-            if not n_list:
-                raise ConfigError("n_list must list at least one horizon",
-                                  line=line, field="n_list")
-            fields["n_list"] = tuple(n_list)
-            echo["n_list"] = " ".join(
-                "inf" if n == math.inf else str(n) for n in n_list)
-            raw, line = _take(seen, "replicas")
-            replicas = _int_value("replicas", raw, line, minimum=2) \
-                if raw is not None else 10_000
-            fields["replicas"] = replicas
-            echo["replicas"] = str(replicas)
-
-    # out is accepted but never echoed: headers stay byte-identical no
-    # matter where the files land.
-    ordered = {key: echo[key] for key in _KEY_ORDER if key in echo}
-    return RunSpecFile(experiment=experiment, seed=seed, out=out,
-                       expanded=ordered, **fields)
+    for key, experiments, parse, default in _RUN_KEYS:
+        if experiment in experiments:
+            fields[key], echo[key] = parse(key, *_raw(seen, key, default))
+    out, _ = seen.get("out", (None, None))
+    return RunSpecFile(experiment=experiment, seed=seed, out=out, expanded=echo, **fields)
 
 
 def header_text(csv_text: str) -> str:

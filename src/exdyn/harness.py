@@ -22,6 +22,7 @@ draws.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -458,22 +459,43 @@ def variance_floor(decay_rate: float) -> float:
     return 0.1 * variance_of_Y(decay_rate, math.inf)
 
 
+def _late_window_problem(config, n_steps):
+    # (field, message) if property_non_convergence cannot run; config files
+    # have only the uniform distribution, so with k = 2 the domain is at fault
+    if not _is_unit_pair(config):
+        return ("k" if config.k != 2 else "domain",
+                "this check is calibrated to the 2-category uniform model on [0, 1]")
+    if n_steps < 8:
+        return "n_steps", "n_steps too small for a late-window estimate"
+
+
+def _cvt_problem(n_steps):
+    # (field, message) if property_macqueen_cvt cannot run
+    if n_steps < 10 or n_steps % 10:
+        return "n_steps", "n_steps must be a positive multiple of 10"
+
+
 def property_non_convergence(config: ModelConfig, n_steps: int) -> PropertyReport:
     """Pass iff the means keep moving: over the last quarter of the run,
     each mean's variance beats a decay-rate-dependent floor and each mean
     still takes visible steps (|change| > 1e-4 at least once).
 
     Accepts decay_rate = 0 so the converging case can serve as a negative
-    control (it must come out failed)."""
-    if not _is_unit_pair(config):
-        raise ParameterError(
-            "this check is calibrated to the 2-category uniform model on [0, 1]"
-        )
-    if n_steps < 8:
-        raise ParameterError("n_steps too small for a late-window estimate")
-    rec = run_trajectory(config, n_steps, stride=1)
-    xs = rec.means[:, :, 0]              # (n_steps+1, 2)
-    late = xs[-(n_steps // 4 + 1):]
+    control (it must come out failed).  Only the last quarter is recorded:
+    the run's head goes unrecorded, and its tail continues on the same
+    stream, so the states equal those of one stride-1 run."""
+    problem = _late_window_problem(config, n_steps)
+    if problem:
+        raise ParameterError(problem[1])
+    tail = n_steps // 4
+    rng = substream(config.seed)
+    head = run_trajectory(config, n_steps - tail, stride=n_steps - tail, rng=rng)
+    # the tail starts from the head's last state without ModelConfig's input
+    # checks, which a state the dynamics reach may fail (a weight decayed to 0.0)
+    cont = copy.copy(config)
+    object.__setattr__(cont, "init_means", head.means[-1])
+    object.__setattr__(cont, "init_weights", head.weights[-1])
+    late = run_trajectory(cont, tail, stride=1, rng=rng).means[:, :, 0]
     late_var = late.var(axis=0)
     moves = np.abs(np.diff(late, axis=0))
     move_freq = (moves > MOVEMENT_EPSILON).mean(axis=0)
@@ -507,8 +529,9 @@ def property_macqueen_cvt(config: ModelConfig, n_steps: int) -> PropertyReport:
     converging normally."""
     if config.decay_rate != 0:
         raise ParameterError("the centroidal-limit check requires decay_rate = 0")
-    if n_steps < 10 or n_steps % 10:
-        raise ParameterError("n_steps must be a positive multiple of 10")
+    problem = _cvt_problem(n_steps)
+    if problem:
+        raise ParameterError(problem[1])
     rec = run_trajectory(config, n_steps, stride=n_steps // 10)
     dev_mid = centroidal_deviation(rec.means[1], config.domain, _CVT_SAMPLES,
                                    substream(config.seed, GEOMETRY_STREAM, 0))
@@ -541,6 +564,16 @@ def theorem_suite(config: ModelConfig, n_steps: int = 1_000_000,
         control = replace(config, decay_rate=0.0)
         out.append((property_non_convergence(control, n_steps), False))
     return out
+
+
+def suite_input_problem(config: ModelConfig, n_steps: int):
+    """The (field, message) that the checks ``exdyn properties`` runs would
+    raise ParameterError with for ``config`` and ``n_steps``, else None.
+    Those checks are property_macqueen_cvt at decay_rate 0 and theorem_suite
+    otherwise."""
+    if config.decay_rate == 0:
+        return _cvt_problem(n_steps)
+    return _late_window_problem(config, n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -591,39 +624,38 @@ def _grid_boundary_segments(means, domain, resolution: int) -> np.ndarray:
 
 def figure1_snapshot(config: ModelConfig, n_steps: int,
                      prune_threshold: float = 0.01,
-                     cloud: ExemplarCloud = None,
+                     scatter_points: np.ndarray = None,
                      grid_resolution: int = 512) -> SnapshotResult:
     """Run a 2-D config and report what a scatter plot needs: every exemplar
     whose decayed weight still exceeds the cutoff, the category means, and
     the cell boundaries traced on a classification grid.
 
-    If no cloud is supplied the initial mass of each category is represented
-    as a single lumped exemplar at its starting mean, which decays exactly
-    like the individual points it stands for.
+    ``scatter_points`` (k, count, 2) are the exemplars a scatter-initialized
+    config starts from, each of weight 1.  Without them the initial mass of
+    each category is a single lumped exemplar at its starting mean, which
+    decays exactly like the individual points it stands for.
     """
     if config.domain.dim != 2:
         raise ParameterError("snapshots are defined for 2-D configs")
     if prune_threshold < 0:
         raise ParameterError("prune_threshold must be nonnegative")
-    if cloud is None:
-        cloud = ExemplarCloud(config.k, 2)
-        for j in range(config.k):
-            cloud.seed_category(j, config.init_means[j][None, :],
-                                [config.init_weights[j]], birth_step=0)
+    if scatter_points is None:
+        points, weights = config.init_means[:, None, :], config.init_weights[:, None]
+    else:
+        points, weights = scatter_points, np.ones(scatter_points.shape[:2])
+    cloud = ExemplarCloud(config.k, 2)
+    for j in range(config.k):
+        cloud.seed_category(j, points[j], weights[j], birth_step=0)
     rec = run_trajectory(config, n_steps, stride=max(1, int(n_steps)),
                          cloud=cloud)
     kept = cloud.pruned(int(n_steps), config.decay_rate, prune_threshold)
-    positions = np.concatenate([locs for locs, _ in kept]) if kept else np.zeros((0, 2))
-    weights = np.concatenate([w for _, w in kept]) if kept else np.zeros(0)
-    categories = np.concatenate(
-        [np.full(locs.shape[0], j, dtype=np.int64) for j, (locs, _) in enumerate(kept)]
-    ) if kept else np.zeros(0, dtype=np.int64)
     means = rec.means[-1]
     return SnapshotResult(
         step=int(n_steps),
-        positions=positions,
-        weights=weights,
-        categories=categories,
+        positions=np.concatenate([locs for locs, _ in kept]),
+        weights=np.concatenate([w for _, w in kept]),
+        categories=np.concatenate(
+            [np.full(locs.shape[0], j, dtype=np.int64) for j, (locs, _) in enumerate(kept)]),
         means=means,
         category_weights=rec.weights[-1],
         boundary_segments=_grid_boundary_segments(means, config.domain,

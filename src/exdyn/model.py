@@ -323,6 +323,9 @@ class ExemplarCloud:
     def seed_category(self, category: int, locations, weights, birth_step: int = 0):
         """Register pre-existing exemplars for one category."""
         locations = _as_points(locations, self.dim)
+        if locations.shape[1] != self.dim:
+            raise ParameterError(
+                f"locations have {locations.shape[1]} coordinates, expected {self.dim}")
         weights = np.atleast_1d(np.asarray(weights, dtype=np.float64))
         for loc, w in zip(locations, weights):
             self._locations[category].append(tuple(loc.tolist()))
@@ -335,7 +338,11 @@ class ExemplarCloud:
         Stores an immutable copy, so later changes to ``location`` do not
         reach the cloud.
         """
-        self._locations[category].append(tuple(location))
+        location = tuple(location)
+        if len(location) != self.dim:
+            raise ParameterError(
+                f"location has {len(location)} coordinates, expected {self.dim}")
+        self._locations[category].append(location)
         self._weights0[category].append(1.0)
         self._births[category].append(int(birth_step))
 

@@ -4,7 +4,14 @@ import textwrap
 import numpy as np
 import pytest
 
-from exdyn import ConfigError, boundary_params, parse_config, variance_of_Y
+import exdyn.harness
+from exdyn import (
+    ConfigError,
+    boundary_params,
+    figure1_snapshot,
+    parse_config,
+    variance_of_Y,
+)
 from exdyn.cli import main, run
 from exdyn.config import EXPERIMENTS, header_text
 from exdyn.harness import equilibrium_steps
@@ -46,7 +53,7 @@ def test_minimal_trajectory_defaults():
     assert spec.model.decay_rate == 0.1
     assert spec.model.dist.kind == "uniform"
     assert np.array_equal(spec.model.init_means, [[0.25], [0.75]])
-    assert spec.out is None and spec.build_cloud() is None
+    assert spec.out is None and spec.scatter_points is None
 
 
 def test_comments_and_blank_lines_ignored():
@@ -64,6 +71,56 @@ def test_preset_expansion_is_a_fixed_point(name):
     assert again.expanded == spec.expanded
     if spec.scatter_points is not None:
         assert np.array_equal(again.scatter_points, spec.scatter_points)
+
+
+_MODEL_KEYS = {"k", "lambda", "dim", "domain", "distribution", "init",
+               "init_means", "init_weights",
+               "scatter_centers", "scatter_count", "scatter_sigma"}
+_KEYS = {
+    "trajectory": _MODEL_KEYS | {"n_steps", "stride"},
+    "snapshot": _MODEL_KEYS | {"n_steps", "prune_threshold", "grid_resolution"},
+    "properties": _MODEL_KEYS | {"n_steps", "window", "check_stride",
+                                 "negative_control"},
+    "variance-curve": {"lambda_grid", "n_list", "replicas"},
+    "ar1-table": {"lambda_grid"},
+}
+_EXPLICIT = "k = 2\nlambda = 0.1\ndomain = 0 1\ninit_means = 0.25 0.75\ninit_weights = 1 1\n"
+
+
+# each experiment's required keys only, and the echo of every key left out
+@pytest.mark.parametrize("experiment,required,defaults", [
+    ("trajectory", _EXPLICIT + "n_steps = 50\n",
+     {"dim": "1", "distribution": "uniform", "init": "explicit", "stride": "1"}),
+    ("snapshot", _EXPLICIT.replace("0 1", "0 1 0 1").replace("0.75", "0.5 0.75 0.5")
+     + "n_steps = 50\n",
+     {"dim": "2", "distribution": "uniform", "init": "explicit",
+      "prune_threshold": "0.01", "grid_resolution": "512"}),
+    ("snapshot", "k = 2\nlambda = 0.1\ndomain = 0 10 0 10\ninit = scatter\n"
+     "scatter_centers = 3 5 7 5\nn_steps = 50\n",
+     {"dim": "2", "distribution": "uniform", "scatter_count": "100",
+      "scatter_sigma": "3.0", "prune_threshold": "0.01", "grid_resolution": "512"}),
+    ("properties", _EXPLICIT + "n_steps = 50\n",
+     {"dim": "1", "distribution": "uniform", "init": "explicit", "window": "10000",
+      "check_stride": "1000", "negative_control": "true"}),
+    ("variance-curve", "lambda_grid = 0.1\nn_list = 10 inf\n", {"replicas": "10000"}),
+    ("ar1-table", "lambda_grid = 0.1\n", {}),
+], ids=["trajectory", "snapshot", "snapshot-scatter", "properties", "variance-curve",
+        "ar1-table"])
+def test_required_keys_alone_echo_every_default(experiment, required, defaults):
+    text = f"experiment = {experiment}\nseed = 3\n" + required
+    spec = parse_config(text)
+    for key, value in defaults.items():
+        assert spec.expanded[key] == value
+    written = {line.split(" = ")[0] for line in text.splitlines()}
+    assert set(spec.expanded) == written | set(defaults)
+    assert set(spec.expanded) <= _KEYS[experiment] | {"experiment", "seed"}
+    again = parse_config("\n".join(f"{k} = {v}" for k, v in spec.expanded.items()))
+    assert again.expanded == spec.expanded
+    assert list(again.expanded) == list(spec.expanded)
+    for key in set().union(*_KEYS.values()) - _KEYS[experiment]:
+        with pytest.raises(ConfigError, match="does not apply") as err:
+            parse_config(text + f"{key} = 1\n")
+        assert err.value.field == key
 
 
 def test_echo_lines_round_trip():
@@ -197,7 +254,12 @@ def test_scatter_points_are_seed_deterministic():
     assert np.array_equal(a.scatter_points, b.scatter_points)
     assert not np.array_equal(a.scatter_points, c.scatter_points)
     assert a.scatter_points.shape == (2, 40, 2)
-    assert a.build_cloud().size() == 80
+    # the snapshot seeds its cloud with every scatter point at weight 1
+    snap = figure1_snapshot(a.model, 0, prune_threshold=0.0,
+                            scatter_points=a.scatter_points, grid_resolution=8)
+    assert np.array_equal(snap.positions, a.scatter_points.reshape(80, 2))
+    assert np.array_equal(snap.weights, np.ones(80))
+    assert np.array_equal(snap.categories, np.repeat([0, 1], 40))
     # cloud totals equal the configured weights, one unit per drawn point
     assert np.array_equal(a.model.init_weights, [40.0, 40.0])
 
@@ -296,6 +358,31 @@ def test_cli_property_mismatch_exit_code(tmp_path, capsys):
     assert main(["properties", "--config", cfg, "--out", str(tmp_path)]) == 3
     assert "property suite mismatch" in capsys.readouterr().err
     assert (tmp_path / "properties.csv").exists()
+
+
+@pytest.mark.parametrize("replacements,field", [
+    ({"k": "3", "init_means": "0.2 0.5 0.8", "init_weights": "1 1 1"}, "k"),
+    ({"domain": "0 2"}, "domain"),
+    ({"n_steps": "7"}, "n_steps"),
+    ({"lambda": "0.0", "n_steps": "15"}, "n_steps"),
+    ({"lambda": "0.0", "n_steps": "0"}, "n_steps"),
+], ids=["three-categories", "wider-domain", "short-run", "zero-decay-15-steps",
+        "zero-decay-0-steps"])
+def test_cli_properties_rejects_what_the_suite_cannot_run(
+        tmp_path, capsys, monkeypatch, replacements, field):
+    # rejected as a configuration error before any simulation starts
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated before checking the config")
+    monkeypatch.setattr(exdyn.harness, "run_trajectory", no_run)
+    text = "preset = theorem-suite\n" + "".join(
+        f"{k} = {v}\n" for k, v in replacements.items())
+    with pytest.raises(ConfigError) as err:
+        run("properties", parse_config(text), tmp_path / "a")
+    assert err.value.field == field
+    cfg = write(tmp_path, "suite.cfg", text)
+    assert main(["properties", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+    assert f"(field: {field})" in capsys.readouterr().err
+    assert not (tmp_path / "b" / "properties.csv").exists()
 
 
 def test_cli_zero_decay_properties_pass(tmp_path):

@@ -326,6 +326,22 @@ def test_properties_fail_when_doctored():
     assert not property_non_convergence(frozen, 20000).passed
 
 
+@pytest.mark.parametrize("decay_rate,n_steps", [(0.1, 2001), (0.0, 803), (1000.0, 400)])
+def test_non_convergence_reads_the_tail_of_one_run(decay_rate, n_steps):
+    # the check records only the last quarter; its stats must equal those
+    # of the same window cut from a full stride-1 record.  At decay 1000 a
+    # losing weight decays to 0.0, a state ModelConfig would refuse as input
+    cfg = pair_config(decay_rate, seed=17)
+    late = run_trajectory(cfg, n_steps, stride=1).means[-(n_steps // 4 + 1):, :, 0]
+    var = late.var(axis=0)
+    freq = (np.abs(np.diff(late, axis=0)) > MOVEMENT_EPSILON).mean(axis=0)
+    rep = property_non_convergence(cfg, n_steps)
+    assert rep.stats == {"late_variance_min": float(var.min()),
+                         "late_variance_max": float(var.max()),
+                         "movement_frequency_min": float(freq.min()),
+                         "decay_rate": decay_rate, "n_steps": float(n_steps)}
+
+
 def test_non_convergence_rejects_other_models():
     cfg = ModelConfig(k=2, decay_rate=0.1,
                       domain=Domain(np.array([0.0]), np.array([2.0])),

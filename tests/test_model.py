@@ -374,6 +374,16 @@ def test_cloud_add_keeps_a_copy():
     assert np.array_equal(cloud.category_arrays(1, 2, 0.0)[0], [[0.125, 0.375]])
 
 
+def test_cloud_add_rejects_a_location_of_another_length():
+    cloud = ExemplarCloud(k=1, dim=2)
+    for location in ([0.1, 0.2, 0.3, 0.4], [0.1]):
+        with pytest.raises(ParameterError, match="expected 2"):
+            cloud.add(0, location, birth_step=1)
+    with pytest.raises(ParameterError, match="expected 2"):
+        cloud.seed_category(0, np.ones((2, 3)), [1.0, 1.0])
+    assert cloud.size() == 0
+
+
 def test_cloud_pruning_drops_light_exemplars():
     cloud = ExemplarCloud(k=2, dim=1)
     cloud.add(0, [0.1], birth_step=0)
