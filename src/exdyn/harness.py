@@ -18,6 +18,14 @@ replicas.  The step-reference tests in tests/test_harness.py prove it for
 single runs: across k, dim, decay rates, both distribution kinds and runs
 with a cloud, every recorded state equals iterating model.step on the same
 draws.
+
+A run can be continued from a record's last state on the generator that
+made it, and the continued states equal those of one uninterrupted run.
+theorem_suite uses this to run its config once: one run's head keeps the
+winners and every check_stride-th state, its last quarter continues at
+stride 1, and the non-extinction, non-collapse and non-convergence reports
+are built from that run by the same code as the standalone checks, which
+each run the trajectory themselves.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ _ENSEMBLE_CHUNK = 512
 
 MOVEMENT_EPSILON = 1e-4
 _FRACTION_FLOOR = 0.5
+_COLLAPSE_SAMPLES = 4096
 _CVT_SAMPLES = 1 << 18
 
 
@@ -179,6 +188,17 @@ def _trajectory_pair(config, n_steps, stride, rng, record_winners):
     return rec_means, rec_weights, winners
 
 
+def _run_length(n_steps, stride):
+    # run_trajectory's argument checks, in its order
+    n_steps = int(n_steps)
+    stride = int(stride)
+    if n_steps < 0:
+        raise ParameterError("n_steps must be nonnegative")
+    if stride < 1:
+        raise ParameterError("stride must be a positive integer")
+    return n_steps, stride
+
+
 def run_trajectory(config: ModelConfig, n_steps: int, stride: int = 1,
                    rng=None, record_winners: bool = False,
                    cloud: ExemplarCloud = None) -> TrajectoryRecord:
@@ -189,12 +209,7 @@ def run_trajectory(config: ModelConfig, n_steps: int, stride: int = 1,
     stream); pass an explicit generator to replay e.g. one ensemble replica.
     If ``cloud`` is given, every absorbed point is appended to it.
     """
-    n_steps = int(n_steps)
-    stride = int(stride)
-    if n_steps < 0:
-        raise ParameterError("n_steps must be nonnegative")
-    if stride < 1:
-        raise ParameterError("stride must be a positive integer")
+    n_steps, stride = _run_length(n_steps, stride)
     if rng is None:
         rng = substream(config.seed)
 
@@ -209,6 +224,23 @@ def run_trajectory(config: ModelConfig, n_steps: int, stride: int = 1,
 
     return TrajectoryRecord(config=config, stride=stride, means=rec_means,
                             weights=rec_weights, winners=winners)
+
+
+def _continue_run(record: TrajectoryRecord, n_steps: int, stride: int, rng,
+                  record_winners: bool = False) -> TrajectoryRecord:
+    """Run n_steps more from the record's last state, drawing from ``rng``.
+
+    Passing the generator the record was made with continues the same
+    stream, so the states equal those of one uninterrupted run.  The
+    continuation's config is a copy with the state set directly, because
+    ModelConfig's input checks refuse a state the dynamics reach: a weight
+    that decayed to 0.0.
+    """
+    cont = copy.copy(record.config)
+    object.__setattr__(cont, "init_means", record.means[-1])
+    object.__setattr__(cont, "init_weights", record.weights[-1])
+    return run_trajectory(cont, n_steps, stride=stride, rng=rng,
+                          record_winners=record_winners)
 
 
 # ---------------------------------------------------------------------------
@@ -389,19 +421,16 @@ def longest_starvation(winners, k: int, burn_in: int = 0) -> int:
     return worst
 
 
-def property_non_extinction(config: ModelConfig, n_steps: int,
-                            window: int = 10_000) -> PropertyReport:
-    """Pass iff every category keeps winning: after a burn-in of
-    10*ceil(1/decay_rate) steps, no stretch of ``window`` consecutive steps
-    leaves any category empty-handed."""
+def _check_starvation_input(config, window):
     if config.decay_rate <= 0:
         raise ParameterError("non-extinction check requires decay_rate > 0")
     if window < 1:
         raise ParameterError("window must be positive")
+
+
+def _extinction_report(config, n_steps, window, winners) -> PropertyReport:
     burn_in = 10 * math.ceil(1.0 / config.decay_rate)
-    rec = run_trajectory(config, n_steps, stride=max(1, int(n_steps)),
-                         record_winners=True)
-    worst = longest_starvation(rec.winners, config.k, burn_in)
+    worst = longest_starvation(winners, config.k, burn_in)
     return PropertyReport(
         name="non-extinction",
         passed=worst < window,
@@ -410,6 +439,17 @@ def property_non_extinction(config: ModelConfig, n_steps: int,
         thresholds={"window": float(window)},
         seed=config.seed,
     )
+
+
+def property_non_extinction(config: ModelConfig, n_steps: int,
+                            window: int = 10_000) -> PropertyReport:
+    """Pass iff every category keeps winning: after a burn-in of
+    10*ceil(1/decay_rate) steps, no stretch of ``window`` consecutive steps
+    leaves any category empty-handed."""
+    _check_starvation_input(config, window)
+    rec = run_trajectory(config, n_steps, stride=max(1, int(n_steps)),
+                         record_winners=True)
+    return _extinction_report(config, n_steps, window, rec.winners)
 
 
 def _min_pairwise_distance(means_batch) -> np.ndarray:
@@ -422,17 +462,13 @@ def _min_pairwise_distance(means_batch) -> np.ndarray:
     return np.sqrt(d2.min(axis=(1, 2)))
 
 
-def property_non_collapse(config: ModelConfig, n_steps: int,
-                          check_stride: int = 1000, n_samples: int = 4096,
-                          volume_floor: float = None) -> PropertyReport:
-    """Pass iff cells keep bulk: the fraction of checked states whose
-    smallest cell volume exceeds the floor (default 0.05 |E| / k) stays
-    above one half.  Also tracks the smallest pairwise distance
-    between means over the checked states."""
+def _collapse_report(config, n_steps, states, n_samples=_COLLAPSE_SAMPLES,
+                     volume_floor=None) -> PropertyReport:
+    # states: the run's states at steps 0, check_stride, 2 check_stride, ...;
+    # the initial state is checked only when it is the only one
     if volume_floor is None:
         volume_floor = 0.05 * config.domain.volume / config.k
-    rec = run_trajectory(config, n_steps, stride=check_stride)
-    checked = rec.means[1:] if rec.means.shape[0] > 1 else rec.means
+    checked = states[1:] if states.shape[0] > 1 else states
     vols = np.empty(checked.shape[0])
     for i, means in enumerate(checked):
         g = substream(config.seed, GEOMETRY_STREAM, i)
@@ -449,6 +485,18 @@ def property_non_collapse(config: ModelConfig, n_steps: int,
                     "fraction_floor": _FRACTION_FLOOR},
         seed=config.seed,
     )
+
+
+def property_non_collapse(config: ModelConfig, n_steps: int,
+                          check_stride: int = 1000,
+                          n_samples: int = _COLLAPSE_SAMPLES,
+                          volume_floor: float = None) -> PropertyReport:
+    """Pass iff cells keep bulk: the fraction of checked states whose
+    smallest cell volume exceeds the floor (default 0.05 |E| / k) stays
+    above one half.  Also tracks the smallest pairwise distance
+    between means over the checked states."""
+    rec = run_trajectory(config, n_steps, stride=check_stride)
+    return _collapse_report(config, n_steps, rec.means, n_samples, volume_floor)
 
 
 def variance_floor(decay_rate: float) -> float:
@@ -475,27 +523,9 @@ def _cvt_problem(n_steps):
         return "n_steps", "n_steps must be a positive multiple of 10"
 
 
-def property_non_convergence(config: ModelConfig, n_steps: int) -> PropertyReport:
-    """Pass iff the means keep moving: over the last quarter of the run,
-    each mean's variance beats a decay-rate-dependent floor and each mean
-    still takes visible steps (|change| > 1e-4 at least once).
-
-    Accepts decay_rate = 0 so the converging case can serve as a negative
-    control (it must come out failed).  Only the last quarter is recorded:
-    the run's head goes unrecorded, and its tail continues on the same
-    stream, so the states equal those of one stride-1 run."""
-    problem = _late_window_problem(config, n_steps)
-    if problem:
-        raise ParameterError(problem[1])
-    tail = n_steps // 4
-    rng = substream(config.seed)
-    head = run_trajectory(config, n_steps - tail, stride=n_steps - tail, rng=rng)
-    # the tail starts from the head's last state without ModelConfig's input
-    # checks, which a state the dynamics reach may fail (a weight decayed to 0.0)
-    cont = copy.copy(config)
-    object.__setattr__(cont, "init_means", head.means[-1])
-    object.__setattr__(cont, "init_weights", head.weights[-1])
-    late = run_trajectory(cont, tail, stride=1, rng=rng).means[:, :, 0]
+def _convergence_report(config, n_steps, late_means) -> PropertyReport:
+    # late_means: the states of the last n_steps // 4 steps, at stride 1
+    late = late_means[:, :, 0]
     late_var = late.var(axis=0)
     moves = np.abs(np.diff(late, axis=0))
     move_freq = (moves > MOVEMENT_EPSILON).mean(axis=0)
@@ -513,6 +543,25 @@ def property_non_convergence(config: ModelConfig, n_steps: int) -> PropertyRepor
                     "movement_epsilon": MOVEMENT_EPSILON},
         seed=config.seed,
     )
+
+
+def property_non_convergence(config: ModelConfig, n_steps: int) -> PropertyReport:
+    """Pass iff the means keep moving: over the last quarter of the run,
+    each mean's variance beats a decay-rate-dependent floor and each mean
+    still takes visible steps (|change| > 1e-4 at least once).
+
+    Accepts decay_rate = 0 so the converging case can serve as a negative
+    control (it must come out failed).  Only the last quarter is recorded:
+    the run's head goes unrecorded, and its tail continues on the same
+    stream, so the states equal those of one stride-1 run."""
+    problem = _late_window_problem(config, n_steps)
+    if problem:
+        raise ParameterError(problem[1])
+    tail = n_steps // 4
+    rng = substream(config.seed)
+    head = run_trajectory(config, n_steps - tail, stride=n_steps - tail, rng=rng)
+    late = _continue_run(head, tail, 1, rng)
+    return _convergence_report(config, n_steps, late.means)
 
 
 def property_macqueen_cvt(config: ModelConfig, n_steps: int) -> PropertyReport:
@@ -554,11 +603,51 @@ def theorem_suite(config: ModelConfig, n_steps: int = 1_000_000,
                   negative_control: bool = True):
     """The three long-run checks on one config, each with its expected
     outcome, plus (optionally) a zero-decay rerun of the movement check that
-    is expected to fail.  Returns [(report, expected_pass), ...]."""
+    is expected to fail.  Returns [(report, expected_pass), ...], equal to
+    what property_non_extinction, property_non_collapse and
+    property_non_convergence give on their own.
+
+    The three checks share one run of the config on its seed's stream.  Its
+    head, steps 0 to n_steps - n_steps // 4, keeps the winners and the
+    states every check_stride steps (if check_stride does not divide the
+    head, a second short run finishes it).  Its tail, the last quarter,
+    continues on the same stream and keeps every state and winner.  The
+    non-collapse states are the head's plus the tail's at multiples of
+    check_stride.  Every argument is checked before the run starts."""
+    _check_starvation_input(config, window)
+    n, stride = _run_length(n_steps, check_stride)
+    problem = _late_window_problem(config, n)
+    if problem:
+        raise ParameterError(problem[1])
+
+    tail = n // 4
+    head_len = n - tail
+    whole = head_len - head_len % stride
+    rng = substream(config.seed)
+    heads = [run_trajectory(config, whole, stride=stride, rng=rng,
+                            record_winners=True)]
+    if whole < head_len:
+        rest = head_len - whole
+        heads.append(_continue_run(heads[0], rest, rest, rng, record_winners=True))
+    late = _continue_run(heads[-1], tail, 1, rng, record_winners=True)
+
+    # the tail's first state is the head's last, so its states at multiples
+    # of check_stride start after it.  Records and winner pieces are freed
+    # before longest_starvation scans the joined winners: at 5e5 steps,
+    # holding the pieces through the scan raised the traced peak from
+    # 12.8 MB to 16.8 MB
+    first = -head_len % stride or stride
+    states = np.concatenate([heads[0].means, late.means[first::stride]])
+    convergence = _convergence_report(config, n_steps, late.means)
+    winners = [rec.winners for rec in heads] + [late.winners]
+    del heads, late
+    winners = np.concatenate(winners)
+    extinction = _extinction_report(config, n_steps, window, winners)
+    del winners
     out = [
-        (property_non_extinction(config, n_steps, window), True),
-        (property_non_collapse(config, n_steps, check_stride), True),
-        (property_non_convergence(config, n_steps), True),
+        (extinction, True),
+        (_collapse_report(config, n_steps, states), True),
+        (convergence, True),
     ]
     if negative_control:
         control = replace(config, decay_rate=0.0)

@@ -150,7 +150,12 @@ def sample(dist: DistributionSpec, domain: Domain, rng) -> np.ndarray:
 
 @dataclass
 class SystemState:
-    """Category means (k, N), positive weights (k,) and a step counter."""
+    """Category means (k, N), weights (k,) and a step counter.
+
+    A weight may be 0.0: the dynamics reach it in floating point when a
+    category keeps losing under a large decay rate (at decay_rate 1000 the
+    decay factor itself is 0.0).
+    """
 
     means: np.ndarray
     weights: np.ndarray
@@ -161,8 +166,8 @@ class SystemState:
         self.weights = np.atleast_1d(np.asarray(self.weights, dtype=np.float64))
         if self.weights.shape[0] != self.means.shape[0]:
             raise ParameterError("means and weights must have matching category counts")
-        if not np.all(self.weights > 0):
-            raise ParameterError("all weights must be strictly positive")
+        if not np.all((self.weights >= 0) & (self.weights < np.inf)):
+            raise ParameterError("all weights must be finite and nonnegative")
 
     @property
     def k(self) -> int:
@@ -179,8 +184,8 @@ class SystemState:
         """Assert the state invariants against ``domain``; raises on violation."""
         if not np.all((self.means >= domain.lower) & (self.means <= domain.upper)):
             raise DomainError("a category mean left the domain")
-        if not np.all(self.weights > 0):
-            raise ParameterError("a category weight is not positive")
+        if not np.all((self.weights >= 0) & (self.weights < np.inf)):
+            raise ParameterError("a category weight is negative or not finite")
 
 
 @dataclass(frozen=True)
@@ -327,6 +332,9 @@ class ExemplarCloud:
             raise ParameterError(
                 f"locations have {locations.shape[1]} coordinates, expected {self.dim}")
         weights = np.atleast_1d(np.asarray(weights, dtype=np.float64))
+        if weights.shape != (locations.shape[0],):
+            raise ParameterError(
+                f"{locations.shape[0]} locations need as many weights, got {weights.size}")
         for loc, w in zip(locations, weights):
             self._locations[category].append(tuple(loc.tolist()))
             self._weights0[category].append(float(w))

@@ -1,10 +1,13 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exdyn import harness
 from exdyn import (
     Domain,
     DistributionSpec,
@@ -67,6 +70,19 @@ def test_record_final_state_and_boundaries():
     b = rec.boundaries
     assert b.shape == (11,)
     assert b[0] == 0.5
+
+
+def test_final_state_accepts_a_weight_decayed_to_zero():
+    # at decay 1000 the decay factor is 0.0, so every losing weight is 0.0
+    cfg = pair_config(1000.0, seed=3)
+    rec = run_trajectory(cfg, 300, stride=300)
+    assert sorted(rec.weights[-1]) == [0.0, 1.0]
+    s = rec.final_state()
+    assert s.step == 300
+    assert np.array_equal(s.means, rec.means[-1])
+    assert np.array_equal(s.weights, rec.weights[-1])
+    after = step(s, [0.5], 1000.0)
+    assert after.step == 301 and sorted(after.weights) == [0.0, 1.0]
 
 
 def test_boundaries_require_1d_pair():
@@ -389,6 +405,77 @@ def test_theorem_suite_reports_expected_outcomes():
     names = [rep.name for rep, _ in results]
     assert names == ["non-extinction", "non-collapse", "non-convergence",
                      "non-convergence"]
+
+
+@pytest.mark.parametrize("decay_rate,n_steps,check_stride,window", [
+    pytest.param(0.1, 2000, 100, 500, id="stride-divides-head"),
+    pytest.param(0.1, 2050, 100, 500, id="head-remainder"),
+    pytest.param(0.2, 400, 1000, 50, id="shorter-than-stride"),
+    pytest.param(1000.0, 401, 30, 50, id="zero-weight"),
+    pytest.param(0.1, 8, 4, 2, id="eight-steps"),
+])
+def test_theorem_suite_equals_the_standalone_checks(decay_rate, n_steps,
+                                                    check_stride, window):
+    cfg = pair_config(decay_rate, seed=23)
+    alone = [property_non_extinction(cfg, n_steps, window),
+             property_non_collapse(cfg, n_steps, check_stride),
+             property_non_convergence(cfg, n_steps),
+             property_non_convergence(replace(cfg, decay_rate=0.0), n_steps)]
+    suite = theorem_suite(cfg, n_steps, window, check_stride)
+    assert [expected for _, expected in suite] == [True, True, True, False]
+    assert len(suite) == len(alone)
+    for (got, _), want in zip(suite, alone):
+        assert got.name == want.name
+        assert got.passed == want.passed
+        assert list(got.stats.items()) == list(want.stats.items())
+        assert list(got.thresholds.items()) == list(want.thresholds.items())
+
+
+def test_theorem_suite_runs_the_decaying_trajectory_once(monkeypatch):
+    runs = []
+    real = harness.run_trajectory
+
+    def counting(config, n_steps, stride=1, **kwargs):
+        runs.append((config.decay_rate, n_steps, stride))
+        return real(config, n_steps, stride, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trajectory", counting)
+    n_steps, check_stride = 2050, 100
+    theorem_suite(pair_config(0.1, seed=23), n_steps, 500, check_stride)
+    decaying = [(n, stride) for lam, n, stride in runs if lam == 0.1]
+    assert sum(n for n, _ in decaying) == n_steps
+    # every step of the last quarter is kept; the head keeps one state per
+    # check_stride steps, plus one for the run that finishes it
+    recorded = sum(n // stride for n, stride in decaying)
+    assert recorded <= n_steps // 4 + n_steps // check_stride + 1
+
+
+@pytest.mark.parametrize("decay_rate,k,n_steps,window,check_stride,message", [
+    pytest.param(0.0, 2, 2000, 500, 100,
+                 "non-extinction check requires decay_rate > 0", id="zero-decay"),
+    pytest.param(0.1, 3, 2000, 500, 100,
+                 "this check is calibrated to the 2-category uniform model on [0, 1]",
+                 id="three-categories"),
+    pytest.param(0.1, 2, 2000, 0, 100, "window must be positive", id="zero-window"),
+    pytest.param(0.1, 2, 2000, 500, 0, "stride must be a positive integer",
+                 id="zero-stride"),
+    pytest.param(0.1, 2, 7, 500, 100, "n_steps too small for a late-window estimate",
+                 id="seven-steps"),
+    pytest.param(0.1, 2, -1, 500, 100, "n_steps must be nonnegative",
+                 id="negative-steps"),
+])
+def test_theorem_suite_rejects_its_input_before_running(
+        monkeypatch, decay_rate, k, n_steps, window, check_stride, message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the suite simulated before checking its input")
+
+    monkeypatch.setattr(harness, "run_trajectory", no_run)
+    cfg = ModelConfig(k=k, decay_rate=decay_rate, domain=UNIT,
+                      dist=DistributionSpec.uniform(),
+                      init_means=np.linspace(0.2, 0.8, k)[:, None],
+                      init_weights=np.ones(k), seed=23)
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        theorem_suite(cfg, n_steps, window, check_stride)
 
 
 # ---------------------------------------------------------------------------

@@ -296,8 +296,11 @@ def test_model_config_validation():
 def test_system_state_validation():
     with pytest.raises(ParameterError):
         SystemState(np.array([[0.5]]), np.array([1.0, 2.0]))
-    with pytest.raises(ParameterError):
-        SystemState(np.array([[0.5]]), np.array([-1.0]))
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            SystemState(np.array([[0.5]]), np.array([bad]))
+    # a weight the dynamics decay to 0.0 is still a state
+    assert SystemState(np.array([[0.5]]), np.array([0.0])).weights[0] == 0.0
     state = pair_state([0.5, 1.5], [1.0, 1.0])
     with pytest.raises(DomainError):
         state.validate(UNIT)
@@ -381,6 +384,15 @@ def test_cloud_add_rejects_a_location_of_another_length():
             cloud.add(0, location, birth_step=1)
     with pytest.raises(ParameterError, match="expected 2"):
         cloud.seed_category(0, np.ones((2, 3)), [1.0, 1.0])
+    assert cloud.size() == 0
+
+
+def test_cloud_seed_rejects_a_count_mismatch():
+    cloud = ExemplarCloud(k=1, dim=2)
+    for weights in ([1.0], [1.0] * 4):
+        with pytest.raises(ParameterError,
+                           match=f"3 locations need as many weights, got {len(weights)}"):
+            cloud.seed_category(0, np.ones((3, 2)), weights)
     assert cloud.size() == 0
 
 
