@@ -12,12 +12,15 @@ tagged substreams so they never disturb trajectory draws.
 
 Single runs go through one of two scalar loops over Python floats: the 1-D
 two-category uniform case without an exemplar cloud through a pair loop,
-every other case through a generic one.  Both repeat model._advance's
-arithmetic operation for operation, and ensembles run it vectorized over
-replicas.  The step-reference tests in tests/test_harness.py prove it for
-single runs: across k, dim, decay rates, both distribution kinds and runs
-with a cloud, every recorded state equals iterating model.step on the same
-draws.
+every other case through a generic one.  Ensembles of uniform-draw runs of
+any shape (k, dim) go through one lockstep engine, which advances every
+replica one step per round of numpy calls over the replica axis.  All
+three repeat model._advance's arithmetic operation for operation.  The
+step-reference tests in tests/test_harness.py prove it for single runs:
+across k, dim, decay rates, both distribution kinds and runs with a cloud,
+every recorded state equals iterating model.step on the same draws.  The
+replay tests prove it for the engine: every row of an ensemble equals
+run_trajectory on that row's stream.
 
 A run can be continued from a record's last state on the generator that
 made it, and the continued states equal those of one uninterrupted run.
@@ -40,6 +43,7 @@ from .ar1 import _is_unit_pair, variance_of_Y
 from .errors import ParameterError
 from .geometry import assign_cells, centroidal_deviation, min_cell_volume
 from .model import (
+    Domain,
     ExemplarCloud,
     ModelConfig,
     SystemState,
@@ -99,7 +103,9 @@ def _trajectory_general(config, n_steps, stride, rng, record_winners, cloud):
     rec_weights = np.empty((n_rec, config.k))
     rec_means[0] = means
     rec_weights[0] = weights
-    winners = np.empty(n_steps, dtype=np.int64) if record_winners else None
+    # a winner is a category index below k: one byte per step up to k = 256
+    winners = (np.empty(n_steps, dtype=np.min_scalar_type(config.k - 1))
+               if record_winners else None)
 
     t = 0
     r = 1
@@ -156,7 +162,7 @@ def _trajectory_pair(config, n_steps, stride, rng, record_winners):
     rec_means[0, 1, 0] = x2
     rec_weights[0, 0] = w1
     rec_weights[0, 1] = w2
-    winners = np.empty(n_steps, dtype=np.int64) if record_winners else None
+    winners = np.empty(n_steps, dtype=np.uint8) if record_winners else None
 
     t = 0
     r = 1
@@ -279,61 +285,135 @@ def replica_stream(master_seed, index, r):
     return substream(master_seed, index, r)
 
 
+def _lockstep_states(means, weights, decay_rate, domain, gens, targets):
+    """States of R independent uniform-draw runs advanced in lockstep.
+
+    Run r starts from means[r] (k, dim) and weights[r] (k,), or from the
+    shared means and weights if they have no replica axis, and draws from
+    gens[r] exactly as run_trajectory draws on ``domain``.  Returns {n:
+    (means (R, k, dim), weights (R, k))} for every n in ``targets``.
+
+    Each step repeats model._advance's arithmetic on all runs at once:
+    squared distances summed over the coordinates in order, a running
+    minimum with strict < so ties go to the lower index, every weight
+    decayed, and the winner's coordinates and weight gathered through flat
+    indices, updated and scattered back.  Every buffer is allocated once;
+    the draws of each chunk are mapped onto the box in place.
+    """
+    R = len(gens)
+    k, dim = np.shape(means)[-2:]
+    decay = math.exp(-decay_rate)
+    # means (dim, k, R) and weights (k, R): category i of replica r has its
+    # weight at flat index i R + r and its coordinate c at c k R + i R + r,
+    # so one gather index plus a fixed offset per coordinate reaches both
+    M = np.empty((dim, k, R))
+    M[...] = np.broadcast_to(means, (R, k, dim)).T
+    W = np.empty((k, R))
+    W[...] = np.broadcast_to(weights, (R, k)).T
+    Mf = M.reshape(-1)
+    Wf = W.reshape(-1)
+    diff = np.empty((dim, k, R))
+    dist = diff[0] if dim == 1 else np.empty((k, R))
+    sq = list(diff)  # views bound once: indexing an array makes a new view
+    d = list(dist)
+    mask = np.empty(R, dtype=bool)
+    best = np.empty(R)
+    idx = np.empty(R, dtype=np.intp)
+    replica = np.arange(R)
+    widx = replica.copy()
+    midx = widx[None] if dim == 1 else np.empty((dim, R), dtype=np.intp)
+    coords = (np.arange(dim) * (k * R))[:, None]
+    if dim > 1:
+        np.add(widx, coords, midx)
+    wi = np.empty(R)
+    w1 = np.empty(R)
+    x = np.empty((dim, R))
+    lo = domain.lower.tolist()
+    span = (domain.upper - domain.lower).tolist()
+    # on the unit box lo + span u = 0.0 + 1.0 u = u, bit for bit
+    unit = all(a == 0.0 for a in lo) and all(b == 1.0 for b in span)
+
+    out = {}
+    want = set(targets)
+    if 0 in want:
+        out[0] = (M.T.copy(), W.T.copy())
+    n_max = max(want, default=0)
+    buf = np.empty((min(_ENSEMBLE_CHUNK, n_max), dim, R))
+    zs = buf[:, :, None, :]
+    t = 0
+    while t < n_max:
+        m = min(_ENSEMBLE_CHUNK, n_max - t)
+        for r, g in enumerate(gens):
+            buf[:m, :, r] = g.random((m, dim))
+        if not unit:
+            for c in range(dim):
+                u = buf[:m, c]
+                u *= span[c]
+                u += lo[c]
+        for j in range(m):
+            np.subtract(M, zs[j], diff)
+            np.multiply(diff, diff, diff)
+            if dim > 1:
+                np.add(sq[0], sq[1], dist)
+                for c in range(2, dim):
+                    np.add(dist, sq[c], dist)
+            if k > 1:
+                np.less(d[1], d[0], mask)
+                if k == 2:
+                    np.multiply(mask, R, widx)
+                else:
+                    np.copyto(idx, mask)
+                    np.minimum(d[0], d[1], out=best)
+                    for i in range(2, k):
+                        np.less(d[i], best, mask)
+                        np.minimum(best, d[i], out=best)
+                        np.copyto(idx, i, where=mask)
+                    np.multiply(idx, R, widx)
+                np.add(widx, replica, widx)
+                if dim > 1:
+                    np.add(widx, coords, midx)
+            np.multiply(W, decay, W)
+            Wf.take(widx, None, wi, "clip")
+            np.add(wi, 1.0, w1)
+            Mf.take(midx, None, x, "clip")
+            np.multiply(x, wi, x)
+            np.add(x, buf[j], x)
+            np.divide(x, w1, x)
+            Mf[midx] = x
+            Wf[widx] = w1
+            t += 1
+            if t in want:
+                out[t] = (M.T.copy(), W.T.copy())
+    return out
+
+
+_UNIT_INTERVAL = Domain(np.array([0.0]), np.array([1.0]))
+
+
 def boundary_samples(decay_rate: float, n_targets, replicas: int,
                      master_seed, index: int = 0):
     """Boundary positions across an ensemble of 1-D two-category runs.
 
     All replicas start from the symmetric state x=(1/4, 3/4), w=(W/2, W/2)
-    on the unit interval and advance in lockstep; returns {n: array of
-    replica boundaries after n steps} for each requested n.  Replica r
-    draws from replica_stream(master_seed, index, r), so any single row can
-    be reproduced with run_trajectory on that stream.
+    on the unit interval and advance in lockstep on the ensemble engine;
+    returns {n: array of replica boundaries after n steps} for each
+    requested n.  Replica r draws from replica_stream(master_seed, index,
+    r), so any single row can be reproduced with run_trajectory on that
+    stream.
     """
-    if decay_rate <= 0:
+    if not decay_rate > 0:
         raise ParameterError("boundary ensembles require decay_rate > 0")
     if replicas < 1:
         raise ParameterError("need at least one replica")
     targets = sorted({int(n) for n in n_targets})
     if targets and targets[0] < 0:
         raise ParameterError("step targets must be nonnegative")
-    R = int(replicas)
-    decay = math.exp(-decay_rate)
     half_w = limit_total_weight(decay_rate) / 2.0
-
-    x1 = np.full(R, 0.25)
-    x2 = np.full(R, 0.75)
-    w1 = np.full(R, half_w)
-    w2 = np.full(R, half_w)
-    gens = [replica_stream(master_seed, index, r) for r in range(R)]
-
-    out = {}
-    want = set(targets)
-    if 0 in want:
-        out[0] = (x1 + x2) / 2.0
-    n_max = targets[-1] if targets else 0
-    t = 0
-    while t < n_max:
-        m = min(_ENSEMBLE_CHUNK, n_max - t)
-        Z = np.empty((m, R))
-        for r, g in enumerate(gens):
-            Z[:, r] = g.random(m)
-        for j in range(m):
-            z = Z[j]
-            d1 = x1 - z
-            d1 *= d1
-            d2 = x2 - z
-            d2 *= d2
-            win1 = d1 <= d2
-            w1 *= decay
-            w2 *= decay
-            np.copyto(x1, (x1 * w1 + z) / (w1 + 1.0), where=win1)
-            np.copyto(x2, (x2 * w2 + z) / (w2 + 1.0), where=~win1)
-            w1 += win1
-            w2 += ~win1
-            t += 1
-            if t in want:
-                out[t] = (x1 + x2) / 2.0
-    return out
+    gens = [replica_stream(master_seed, index, r) for r in range(int(replicas))]
+    states = _lockstep_states(np.array([[0.25], [0.75]]), np.array([half_w, half_w]),
+                              decay_rate, _UNIT_INTERVAL, gens, targets)
+    return {n: (means[:, 0, 0] + means[:, 1, 0]) / 2.0
+            for n, (means, _) in states.items()}
 
 
 def _estimate(quantity, decay_rate, n, n_eff, values) -> EnsembleEstimate:

@@ -296,14 +296,14 @@ def total_weight(state: SystemState) -> float:
 
 def limit_total_weight(decay_rate: float) -> float:
     """The limit 1 / (1 - e^-L) of the total weight; requires decay_rate > 0."""
-    if decay_rate <= 0:
+    if not decay_rate > 0:
         raise ParameterError("limit total weight requires decay_rate > 0")
     return 1.0 / -math.expm1(-decay_rate)
 
 
 def weight_bound(init_weights, decay_rate: float) -> float:
     """Uniform bound max(sum w0, 1/(1-e^-L)) on the total weight of a run."""
-    if decay_rate <= 0:
+    if not decay_rate > 0:
         raise ParameterError("weight_bound requires decay_rate > 0")
     w0 = float(np.sum(np.asarray(init_weights, dtype=np.float64)))
     return max(w0, limit_total_weight(decay_rate))

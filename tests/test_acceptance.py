@@ -45,6 +45,7 @@ from exdyn import (
     weight_bound,
 )
 from exdyn.cli import main
+from exdyn.harness import _lockstep_states
 from exdyn.rng import GEOMETRY_STREAM
 
 UNIT = Domain(np.array([0.0]), np.array([1.0]))
@@ -162,17 +163,23 @@ def test_criterion_6_zero_decay_centroidal_limit():
     # modes still add a little at n = 1e4..1e5.  The seeds are the canned 101
     # and the 23 after it; the mean log decade ratio over them must lie
     # within 3 SE of ln(10)/3, which a stalled run (log ratio 0) or one
-    # converging like 1/sqrt(n) (log ratio ln(10)/2) misses.
+    # converging like 1/sqrt(n) (log ratio ln(10)/2) misses.  The 24 runs
+    # advance in lockstep on the ensemble engine, each on its seed's own
+    # stream, so their states equal run_trajectory's bit for bit.
     seeds = range(101, 125)
+    models = [parse_config("preset = fig1\n",
+                           overrides={"lambda": "0.0", "seed": str(seed)}).model
+              for seed in seeds]
+    dom = models[0].domain
+    states = _lockstep_states(np.stack([m.init_means for m in models]),
+                              np.stack([m.init_weights for m in models]), 0.0,
+                              dom, [substream(seed) for seed in seeds],
+                              [10_000, 100_000])
     log_ratios = []
-    for seed in seeds:
-        spec = parse_config("preset = fig1\n",
-                            overrides={"lambda": "0.0", "seed": str(seed)})
-        rec = run_trajectory(spec.model, 100_000, stride=10_000)
-        dom = spec.model.domain
-        dev_early = centroidal_deviation(rec.means[1], dom, 2_000_000,
+    for r, seed in enumerate(seeds):
+        dev_early = centroidal_deviation(states[10_000][0][r], dom, 2_000_000,
                                          substream(seed, GEOMETRY_STREAM, 0))
-        dev_late = centroidal_deviation(rec.means[-1], dom, 2_000_000,
+        dev_late = centroidal_deviation(states[100_000][0][r], dom, 2_000_000,
                                         substream(seed, GEOMETRY_STREAM, 1))
         log_ratios.append(math.log(dev_early / dev_late))
         print(f"criterion 6 [2-D, seed {seed}]: deviation {dev_early:.4f} at "

@@ -15,6 +15,7 @@ from exdyn import (
     ExemplarCloud,
     ModelConfig,
     ParameterError,
+    SystemState,
     assign_cells,
     boundary_samples,
     boundary_variance_curve,
@@ -214,6 +215,26 @@ def test_distances_add_coordinates_in_order():
     assert rec.winners[0] == 0
     assert np.array_equal(rec.means[1], state.means)
     assert np.array_equal(rec.weights[1], state.weights)
+    means1, weights1 = harness._lockstep_states(
+        means, cfg.init_weights, cfg.decay_rate, domain, [_FixedDraws(z)], [1])[1]
+    assert np.array_equal(means1[0], state.means)
+    assert np.array_equal(weights1[0], state.weights)
+
+
+@pytest.mark.parametrize("k", [2, 300])
+def test_winners_are_stored_as_small_integers(k):
+    cfg = ModelConfig(k=k, decay_rate=0.1, domain=UNIT,
+                      dist=DistributionSpec.uniform(),
+                      init_means=np.linspace(0.0, 1.0, k)[:, None],
+                      init_weights=np.ones(k), seed=8)
+    rec = run_trajectory(cfg, 2000, stride=2000, record_winners=True)
+    assert rec.winners.dtype == (np.uint8 if k == 2 else np.uint16)
+    assert rec.winners.max() < k
+    if k == 2:
+        # a cloud sends the k = 2 1-D shape to the generic engine
+        general = run_trajectory(cfg, 2000, stride=2000, record_winners=True,
+                                 cloud=ExemplarCloud(2, 1))
+        assert general.winners.dtype == np.uint8
 
 
 def test_trajectory_deterministic_and_seed_sensitive():
@@ -287,6 +308,95 @@ def test_boundary_samples_validation():
         boundary_samples(0.1, [10], 0, 1)
     with pytest.raises(ParameterError):
         boundary_samples(0.1, [-1, 10], 4, 1)
+
+
+def test_boundary_samples_rejects_nan_decay():
+    # nan <= 0 is false, so a sign test alone let NaN boundaries through
+    with pytest.raises(ParameterError, match="require decay_rate > 0"):
+        boundary_samples(math.nan, [3], 4, 1)
+    # decay_rate = inf is a decay factor of 0.0 and a limit weight of 1
+    out = boundary_samples(math.inf, [0, 3], 4, 1)
+    assert np.array_equal(out[0], np.full(4, 0.5))
+    assert np.all((out[3] > 0.0) & (out[3] < 1.0))
+
+
+def test_variance_curve_rejects_nan_decay():
+    with pytest.raises(ParameterError):
+        boundary_variance_curve([math.nan], [100], 4, 1)
+    with pytest.raises(ParameterError):
+        boundary_variance_curve([0.1, math.nan], [100], 4, 1)
+
+
+_BOXES = {"unit": (0.0, 1.0), "offset": (-2.0, 0.5)}
+
+
+@pytest.mark.parametrize("box", sorted(_BOXES))
+@pytest.mark.parametrize("decay_rate", [0.0, 0.1, 1000.0])
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_lockstep_rows_replay_single_runs(k, dim, decay_rate, box):
+    # every row of the ensemble engine, each from its own initial state and
+    # stream, equals run_trajectory on that stream bit for bit, means and
+    # weights.  The targets straddle the 512-step chunk edges and end in a
+    # partial chunk; dim 8 adds the coordinates past numpy's pairwise sum,
+    # and decay 1000 (a decay factor of 0.0) leaves weights of exactly 0.0
+    lower, span = _BOXES[box]
+    domain = Domain(np.full(dim, lower), np.full(dim, lower + span))
+    targets = [0, 1, 511, 512, 513, 1030]
+    configs = []
+    for r in range(3):
+        init = substream(k, dim, r)
+        configs.append(ModelConfig(k=k, decay_rate=decay_rate, domain=domain,
+                                   dist=DistributionSpec.uniform(),
+                                   init_means=domain.uniform_points(init, k),
+                                   init_weights=init.uniform(0.5, 50.0, k),
+                                   seed=100 * k + dim))
+    gens = [replica_stream(5, 10 * k + dim, r) for r in range(3)]
+    states = harness._lockstep_states(
+        np.stack([c.init_means for c in configs]),
+        np.stack([c.init_weights for c in configs]),
+        decay_rate, domain, gens, targets)
+    assert sorted(states) == targets
+    for r, cfg in enumerate(configs):
+        rec = run_trajectory(cfg, targets[-1], stride=1,
+                             rng=replica_stream(5, 10 * k + dim, r))
+        for n in targets:
+            means, weights = states[n]
+            assert means.shape == (3, k, dim) and weights.shape == (3, k)
+            assert means[r].tobytes() == rec.means[n].tobytes()
+            assert weights[r].tobytes() == rec.weights[n].tobytes()
+    if decay_rate == 1000.0 and k > 1:
+        assert np.any(states[targets[-1]][1] == 0.0)
+
+
+def test_lockstep_ties_go_to_the_lower_index():
+    # z = 0.5 lies exactly as far from 0.25 as from 0.75: replica 0 ties
+    # categories 1 and 2 after category 0 lost, replica 1 ties 0 and 1
+    means = np.array([[[0.0], [0.25], [0.75]], [[0.25], [0.75], [0.0]]])
+    weights = np.ones(3)
+    out = harness._lockstep_states(means, weights, 0.1, UNIT,
+                                   [_FixedDraws([0.5]), _FixedDraws([0.5])], [1])
+    for r, winner in enumerate([1, 0]):
+        state = step(SystemState(means[r], weights), [0.5], 0.1)
+        assert classify([0.5], means[r]) == winner
+        assert np.array_equal(out[1][0][r], state.means)
+        assert np.array_equal(out[1][1][r], state.weights)
+
+
+def test_lockstep_single_replica_shares_the_start():
+    # one replica, and means and weights without a replica axis
+    domain = Domain(np.array([-1.0, 0.0]), np.array([3.0, 2.0]))
+    init = substream(3, 2)
+    cfg = ModelConfig(k=3, decay_rate=0.05, domain=domain,
+                      dist=DistributionSpec.uniform(),
+                      init_means=domain.uniform_points(init, 3),
+                      init_weights=init.uniform(0.5, 5.0, 3), seed=21)
+    states = harness._lockstep_states(cfg.init_means, cfg.init_weights, 0.05,
+                                      domain, [substream(21)], [512, 700])
+    rec = run_trajectory(cfg, 700, stride=1)
+    for n in (512, 700):
+        assert states[n][0][0].tobytes() == rec.means[n].tobytes()
+        assert states[n][1][0].tobytes() == rec.weights[n].tobytes()
 
 
 def test_estimate_frozen_moments():

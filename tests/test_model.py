@@ -189,6 +189,19 @@ def test_weight_bound_branches():
         weight_bound([1.0], 0.0)
 
 
+def test_limit_total_weight_rejects_nan():
+    # nan <= 0 is false, so a sign test alone let NaN through as a NaN limit
+    with pytest.raises(ParameterError, match="requires decay_rate > 0"):
+        limit_total_weight(math.nan)
+    assert limit_total_weight(math.inf) == 1.0
+
+
+def test_weight_bound_rejects_nan():
+    with pytest.raises(ParameterError, match="requires decay_rate > 0"):
+        weight_bound([1.0, 1.0], math.nan)
+    assert weight_bound([0.25, 0.25], math.inf) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
