@@ -29,7 +29,7 @@ def main():
     print()
 
     for lam in (0.01, 0.1, 1.0):
-        z = fixed_point(lam, check=True)
+        z = fixed_point(lam)
         drift = np.max(np.abs(mean_map(z, lam) - z))
         print(f"decay {lam}: expected update moves the symmetric state by"
               f" {drift:.2e}")

@@ -14,7 +14,6 @@ seeded experiments and long-run property checks, and :mod:`exdyn.config` /
 """
 
 from .ar1 import (
-    Ar1Params,
     boundary_params,
     fixed_point,
     linearization,
@@ -27,7 +26,6 @@ from .ar1 import (
 from .config import RunSpecFile, header_text, parse_config
 from .errors import (
     ConfigError,
-    ContractError,
     DomainError,
     ExdynError,
     GeometryError,
@@ -37,7 +35,6 @@ from .errors import (
 from .geometry import (
     CellStats,
     assign_cells,
-    boundary_1d,
     cell_stats,
     centroidal_deviation,
     min_cell_volume,
@@ -83,10 +80,8 @@ from .rng import substream
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ar1Params",
     "CellStats",
     "ConfigError",
-    "ContractError",
     "DistributionSpec",
     "Domain",
     "DomainError",
@@ -104,7 +99,6 @@ __all__ = [
     "SystemState",
     "TrajectoryRecord",
     "assign_cells",
-    "boundary_1d",
     "boundary_params",
     "boundary_samples",
     "boundary_variance_curve",

@@ -17,7 +17,6 @@ simulate_ar1, a plain-Python loop that is linear in the number of steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,24 +51,23 @@ def boundary_params(decay_rate: float):
     return K, sigma
 
 
-def fixed_point(decay_rate: float, check: bool = True) -> np.ndarray:
+def fixed_point(decay_rate: float) -> np.ndarray:
     """The state (1/4, 3/4, W/2, W/2) left fixed by the expected update.
 
-    With check=True the returned vector is verified against a quadrature of
-    the expected one-step map (mean_map at its default node count); the
-    relative residual must not exceed 1e-10.
+    The returned vector is verified against a quadrature of the expected
+    one-step map (mean_map at its default node count); the relative
+    residual must not exceed 1e-10.
     """
     _check_rate(decay_rate)
     W = limit_total_weight(decay_rate)
     z = np.array([0.25, 0.75, W / 2.0, W / 2.0])
-    if check:
-        # residual is relative on the weight entries, which scale like 1/decay_rate
-        err = np.max(np.abs(mean_map(z, decay_rate) - z) / np.maximum(1.0, np.abs(z)))
-        if err > _FIXED_POINT_TOL:
-            raise ParameterError(
-                f"fixed-point residual {err:.3e} exceeds {_FIXED_POINT_TOL} "
-                f"at decay_rate={decay_rate}"
-            )
+    # residual is relative on the weight entries, which scale like 1/decay_rate
+    err = np.max(np.abs(mean_map(z, decay_rate) - z) / np.maximum(1.0, np.abs(z)))
+    if err > _FIXED_POINT_TOL:
+        raise ParameterError(
+            f"fixed-point residual {err:.3e} exceeds {_FIXED_POINT_TOL} "
+            f"at decay_rate={decay_rate}"
+        )
     return z
 
 
@@ -82,6 +80,8 @@ def mean_map(state4, decay_rate: float, n_nodes: int = 2048) -> np.ndarray:
     rule is exact up to rounding and the node count only moves the result
     at machine precision.
     """
+    if not decay_rate >= 0:
+        raise ParameterError("mean_map requires decay_rate >= 0")
     state4 = np.asarray(state4, dtype=np.float64)
     if state4.shape != (4,):
         raise ParameterError("state must be the 4-vector (x1, x2, w1, w2)")
@@ -151,45 +151,6 @@ def linearization(decay_rate: float):
         [0.0, 0.0, -1.0, 1.0],
     ])
     return J, H, Hsqrt
-
-
-@dataclass(frozen=True)
-class Ar1Params:
-    """Everything the linearized boundary model needs, for one decay rate."""
-
-    decay_rate: float
-    K: float
-    sigma: float
-    W: float
-    fixed_state: np.ndarray
-    J: np.ndarray
-    H: np.ndarray
-    Hsqrt: np.ndarray
-
-    @classmethod
-    def from_decay_rate(cls, decay_rate: float, check: bool = False) -> "Ar1Params":
-        K, sigma = boundary_params(decay_rate)
-        J, H, Hsqrt = linearization(decay_rate)
-        return cls(
-            decay_rate=float(decay_rate),
-            K=K,
-            sigma=sigma,
-            W=limit_total_weight(decay_rate),
-            fixed_state=fixed_point(decay_rate, check=check),
-            J=J,
-            H=H,
-            Hsqrt=Hsqrt,
-        )
-
-    @classmethod
-    def for_config(cls, config: ModelConfig, check: bool = False) -> "Ar1Params":
-        """Build params for a model config, refusing anything but the
-        two-category uniform system on [0, 1]."""
-        if not _is_unit_pair(config):
-            raise ParameterError(
-                "AR(1) closed forms only exist for the 2-category uniform model on [0, 1]"
-            )
-        return cls.from_decay_rate(config.decay_rate, check=check)
 
 
 def variance_of_Y(decay_rate: float, n) -> float:

@@ -13,10 +13,6 @@ class ParameterError(ExdynError):
     """A parameter is outside its valid range."""
 
 
-class ContractError(ExdynError):
-    """An operation was called on a state that violates its preconditions."""
-
-
 class GeometryError(ExdynError):
     """Invalid generator configuration for cell statistics."""
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, GeometryError
-from .model import Domain, SystemState, _as_points, _squared_norms
+from .errors import GeometryError
+from .model import Domain, _as_points, _squared_norms
 
 _ASSIGN_CHUNK = 1 << 16
 
@@ -107,12 +107,3 @@ def min_cell_volume(means, domain: Domain, n_samples: int, rng) -> float:
     """Smallest estimated cell volume; 0 when some cell caught no samples."""
     return float(cell_stats(means, domain, n_samples, rng).volumes.min())
 
-
-def boundary_1d(state: SystemState) -> float:
-    """Perceptual boundary (x1 + x2) / 2 of a two-category 1-D state."""
-    if state.dim != 1 or state.k != 2:
-        raise ContractError("boundary_1d requires a 1-D state with exactly 2 categories")
-    x1, x2 = state.means[0, 0], state.means[1, 0]
-    if not x1 < x2:
-        raise ContractError("boundary_1d requires means ordered x1 < x2")
-    return float((x1 + x2) / 2.0)

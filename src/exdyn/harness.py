@@ -46,7 +46,6 @@ from .model import (
     Domain,
     ExemplarCloud,
     ModelConfig,
-    SystemState,
     limit_total_weight,
     sample,
 )
@@ -83,10 +82,6 @@ class TrajectoryRecord:
         if self.means.shape[1:] != (2, 1):
             raise ParameterError("boundary series requires a 1-D two-category record")
         return (self.means[:, 0, 0] + self.means[:, 1, 0]) / 2.0
-
-    def final_state(self) -> SystemState:
-        return SystemState(self.means[-1].copy(), self.weights[-1].copy(),
-                           int(self.steps[-1]))
 
 
 def _trajectory_general(config, n_steps, stride, rng, record_winners, cloud):
@@ -254,7 +249,7 @@ def _continue_run(record: TrajectoryRecord, n_steps: int, stride: int, rng,
 
 @dataclass(frozen=True)
 class EnsembleEstimate:
-    """Monte Carlo estimate of one quantity at one (decay_rate, n) point.
+    """Monte Carlo estimate of the boundary at one (decay_rate, n) point.
 
     ``n`` keeps the requested horizon (math.inf for the equilibrium column);
     ``n_steps`` is the horizon actually simulated.  ``stderr`` is the
@@ -262,7 +257,6 @@ class EnsembleEstimate:
     variance estimate, from the sample's fourth central moment.
     """
 
-    quantity: str
     decay_rate: float
     n: float
     n_steps: int
@@ -390,6 +384,13 @@ def _lockstep_states(means, weights, decay_rate, domain, gens, targets):
 _UNIT_INTERVAL = Domain(np.array([0.0]), np.array([1.0]))
 
 
+def _whole(value, message) -> int:
+    # int() alone would truncate 2.7 to 2 and raise its own errors on NaN and inf
+    if not float(value).is_integer():
+        raise ParameterError(message)
+    return int(value)
+
+
 def boundary_samples(decay_rate: float, n_targets, replicas: int,
                      master_seed, index: int = 0):
     """Boundary positions across an ensemble of 1-D two-category runs.
@@ -403,20 +404,21 @@ def boundary_samples(decay_rate: float, n_targets, replicas: int,
     """
     if not decay_rate > 0:
         raise ParameterError("boundary ensembles require decay_rate > 0")
+    replicas = _whole(replicas, "replica count must be a whole number")
     if replicas < 1:
         raise ParameterError("need at least one replica")
-    targets = sorted({int(n) for n in n_targets})
+    targets = sorted({_whole(n, "step targets must be whole numbers") for n in n_targets})
     if targets and targets[0] < 0:
         raise ParameterError("step targets must be nonnegative")
     half_w = limit_total_weight(decay_rate) / 2.0
-    gens = [replica_stream(master_seed, index, r) for r in range(int(replicas))]
+    gens = [replica_stream(master_seed, index, r) for r in range(replicas)]
     states = _lockstep_states(np.array([[0.25], [0.75]]), np.array([half_w, half_w]),
                               decay_rate, _UNIT_INTERVAL, gens, targets)
     return {n: (means[:, 0, 0] + means[:, 1, 0]) / 2.0
             for n, (means, _) in states.items()}
 
 
-def _estimate(quantity, decay_rate, n, n_eff, values) -> EnsembleEstimate:
+def _estimate(decay_rate, n, n_eff, values) -> EnsembleEstimate:
     values = np.asarray(values, dtype=np.float64)
     R = values.shape[0]
     if R < 2:
@@ -429,7 +431,6 @@ def _estimate(quantity, decay_rate, n, n_eff, values) -> EnsembleEstimate:
     # large-sample variance of the sample variance, via the 4th moment
     var_of_var = (m4 - var**2 * (R - 3) / (R - 1)) / R
     return EnsembleEstimate(
-        quantity=quantity,
         decay_rate=float(decay_rate),
         n=n,
         n_steps=int(n_eff),
@@ -452,12 +453,12 @@ def boundary_variance_curve(lambda_grid, n_list, replicas, master_seed):
     grid = [float(lam) for lam in lambda_grid]
     if not grid:
         raise ParameterError("lambda_grid must be non-empty")
-    if int(replicas) < 2:
+    if _whole(replicas, "replica count must be a whole number") < 2:
         raise ParameterError("replica count must be at least 2")
     horizons = []
     for n in n_list:
         if n != math.inf:
-            n = int(n)
+            n = _whole(n, "entries of n_list must be whole numbers or math.inf")
             if n < 0:
                 raise ParameterError("entries of n_list must be >= 0 or math.inf")
         horizons.append(n)
@@ -469,7 +470,7 @@ def boundary_variance_curve(lambda_grid, n_list, replicas, master_seed):
         eff = {n: (equilibrium_steps(lam) if n == math.inf else n) for n in horizons}
         samples = boundary_samples(lam, set(eff.values()), replicas, master_seed, index=i)
         for n in horizons:
-            estimates.append(_estimate("boundary", lam, n, eff[n], samples[eff[n]]))
+            estimates.append(_estimate(lam, n, eff[n], samples[eff[n]]))
     return estimates
 
 
@@ -490,6 +491,8 @@ class PropertyReport:
 def longest_starvation(winners, k: int, burn_in: int = 0) -> int:
     """Longest run of consecutive post-burn-in steps leaving some category
     without a single win.  winners[t] is the winner of update t+1."""
+    if not burn_in >= 0:
+        raise ParameterError("burn_in must be nonnegative")
     w = np.asarray(winners)
     n = w.shape[0]
     burn_in = min(int(burn_in), n)
@@ -504,7 +507,7 @@ def longest_starvation(winners, k: int, burn_in: int = 0) -> int:
 def _check_starvation_input(config, window):
     if config.decay_rate <= 0:
         raise ParameterError("non-extinction check requires decay_rate > 0")
-    if window < 1:
+    if not window >= 1:
         raise ParameterError("window must be positive")
 
 
@@ -806,8 +809,10 @@ def figure1_snapshot(config: ModelConfig, n_steps: int,
     """
     if config.domain.dim != 2:
         raise ParameterError("snapshots are defined for 2-D configs")
-    if prune_threshold < 0:
+    if not prune_threshold >= 0:
         raise ParameterError("prune_threshold must be nonnegative")
+    if not grid_resolution >= 2:
+        raise ParameterError("grid_resolution must be at least 2")
     if scatter_points is None:
         points, weights = config.init_means[:, None, :], config.init_weights[:, None]
     else:

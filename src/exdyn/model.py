@@ -14,7 +14,7 @@ With decay_rate = 0 this is MacQueen's online k-means running mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,13 +180,6 @@ class SystemState:
     def copy(self) -> "SystemState":
         return SystemState(self.means.copy(), self.weights.copy(), self.step)
 
-    def validate(self, domain: Domain):
-        """Assert the state invariants against ``domain``; raises on violation."""
-        if not np.all((self.means >= domain.lower) & (self.means <= domain.upper)):
-            raise DomainError("a category mean left the domain")
-        if not np.all((self.weights >= 0) & (self.weights < np.inf)):
-            raise ParameterError("a category weight is negative or not finite")
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -234,9 +227,6 @@ class ModelConfig:
                     raise ParameterError(f"init_means {i} and {j} coincide")
         if not (0 <= int(self.seed) < 2**64):
             raise ParameterError("seed must fit in 64 bits")
-
-    def initial_state(self) -> SystemState:
-        return SystemState(self.init_means.copy(), self.init_weights.copy(), 0)
 
 
 def _squared_norms(diff) -> np.ndarray:

@@ -17,8 +17,8 @@ GEOMETRY_STREAM = 2
 def substream(seed, *key):
     """Generator for stream ``key`` of master ``seed``.
 
-    ``substream(seed)`` is the main trajectory stream; ``substream(seed, r)``
-    is replica ``r`` of an ensemble keyed by ``seed``.
+    ``substream(seed)`` is the main trajectory stream; ``substream(seed, i,
+    r)`` is replica ``r`` of grid point ``i`` of the ensemble under ``seed``.
     """
     ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from exdyn import (
-    Ar1Params,
     DistributionSpec,
     Domain,
     ModelConfig,
@@ -20,6 +19,7 @@ from exdyn import (
     fixed_point,
     linearization,
     mean_map,
+    property_non_convergence,
     second_order_variance_of_Y,
     simulate_ar1,
     stationary_autocovariance,
@@ -106,14 +106,14 @@ def test_closed_forms_reject_nonpositive_decay():
 # fixed point and the expected one-step map
 
 def test_fixed_point_half_decay():
-    z = fixed_point(LN2, check=True)
+    z = fixed_point(LN2)
     assert np.array_equal(z, [0.25, 0.75, 1.0, 1.0])
 
 
 def test_fixed_point_verifies_at_extreme_rates():
-    z = fixed_point(0.01, check=True)
+    z = fixed_point(0.01)
     assert z[2] == pytest.approx(1.0 / (2.0 * -math.expm1(-0.01)), rel=1e-12)
-    z = fixed_point(50.0, check=True)
+    z = fixed_point(50.0)
     assert z[2] == pytest.approx(0.5, abs=1e-9)
 
 
@@ -146,6 +146,17 @@ def test_mean_map_node_count_is_immaterial():
     a = mean_map(s, 0.2, n_nodes=999)
     b = mean_map(s, 0.2, n_nodes=16384)
     np.testing.assert_allclose(a, b, rtol=1e-12)
+
+
+def test_mean_map_requires_a_nonnegative_rate():
+    # unchecked, a NaN rate gives four NaNs and a negative one grows the weights
+    z = np.array([0.25, 0.75, 1.0, 1.0])
+    for bad in (math.nan, -1.0, -math.inf):
+        with pytest.raises(ParameterError, match="decay_rate"):
+            mean_map(z, bad)
+    # no decay keeps the total weight growing by one; infinite decay forgets it
+    assert mean_map(z, 0.0)[2:].sum() == pytest.approx(3.0, rel=1e-12)
+    assert mean_map(z, math.inf)[2:].sum() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_mean_map_input_validation():
@@ -229,25 +240,11 @@ def test_simulate_ar1_vanishing_noise_stays_at_zero():
 
 
 # ---------------------------------------------------------------------------
-# parameter bundle
-
-def test_ar1_params_bundle_is_consistent():
-    p = Ar1Params.from_decay_rate(0.25, check=True)
-    K, sigma = boundary_params(0.25)
-    J, H, Hsqrt = linearization(0.25)
-    assert (p.K, p.sigma) == (K, sigma)
-    assert np.array_equal(p.J, J) and np.array_equal(p.H, H)
-    assert np.array_equal(p.Hsqrt, Hsqrt)
-    assert p.W == pytest.approx(1.0 / -math.expm1(-0.25), rel=1e-15)
-    assert np.array_equal(p.fixed_state, [0.25, 0.75, p.W / 2.0, p.W / 2.0])
-
-
-def test_ar1_params_for_config_accepts_canonical_pair():
-    p = Ar1Params.for_config(unit_pair(0.5))
-    assert p.decay_rate == 0.5
-
+# the models the closed forms describe
 
 def test_ar1_params_for_config_rejects_other_models():
+    # property_non_convergence is calibrated to the AR(1) variance, so it
+    # refuses every model but the two-category uniform one on [0, 1]
     cfg = unit_pair(0.5)
     k3 = ModelConfig(k=3, decay_rate=0.5, domain=UNIT,
                      dist=DistributionSpec.uniform(),
@@ -263,5 +260,5 @@ def test_ar1_params_for_config_rejects_other_models():
                        init_means=cfg.init_means, init_weights=np.ones(2),
                        seed=1)
     for bad in (k3, wide, flat):
-        with pytest.raises(ParameterError):
-            Ar1Params.for_config(bad)
+        with pytest.raises(ParameterError, match="calibrated to the 2-category"):
+            property_non_convergence(bad, 100)

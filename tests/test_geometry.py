@@ -8,12 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exdyn import (
-    ContractError,
     Domain,
     GeometryError,
-    SystemState,
     assign_cells,
-    boundary_1d,
     cell_stats,
     centroidal_deviation,
     classify,
@@ -140,25 +137,10 @@ def test_min_cell_volume_oracles():
     assert min_cell_volume([0.1, 0.2], UNIT, N, substream(18)) == pytest.approx(0.15, abs=TOL)
 
 
-def test_boundary_1d():
-    assert boundary_1d(SystemState(np.array([[0.25], [0.75]]), [1.0, 1.0])) == 0.5
-    state = SystemState(np.array([[0.2], [0.4]]), [1.0, 1.0])
-    assert boundary_1d(state) == pytest.approx(0.3)
-
-
-def test_boundary_1d_preconditions():
-    with pytest.raises(ContractError):
-        boundary_1d(SystemState(np.array([[0.75], [0.25]]), [1.0, 1.0]))
-    with pytest.raises(ContractError):
-        boundary_1d(SystemState(np.array([[0.5]]), [1.0]))
-    with pytest.raises(ContractError):
-        boundary_1d(SystemState(np.array([[0.2, 0.2], [0.8, 0.8]]), [1.0, 1.0]))
-
-
 def test_estimated_split_converges_to_boundary():
-    # the first cell's estimated volume is a counting estimate of b
-    state = SystemState(np.array([[0.3], [0.9]]), [1.0, 1.0])
-    b = boundary_1d(state)
+    # the first cell's estimated volume is a counting estimate of the
+    # boundary b = (0.3 + 0.9) / 2
+    b = 0.6
     vol = cell_stats([0.3, 0.9], UNIT, N, substream(19)).volumes[0]
     assert vol == pytest.approx(b, abs=TOL)
 

@@ -62,26 +62,20 @@ def test_record_steps_and_shapes():
     assert np.array_equal(rec.means[0], cfg.init_means)
 
 
-def test_record_final_state_and_boundaries():
+def test_record_boundaries():
     cfg = pair_config(0.1, seed=3)
     rec = run_trajectory(cfg, 100, stride=10)
-    s = rec.final_state()
-    assert s.step == 100
-    assert np.array_equal(s.means, rec.means[-1])
     b = rec.boundaries
     assert b.shape == (11,)
     assert b[0] == 0.5
 
 
-def test_final_state_accepts_a_weight_decayed_to_zero():
+def test_state_accepts_a_weight_decayed_to_zero():
     # at decay 1000 the decay factor is 0.0, so every losing weight is 0.0
     cfg = pair_config(1000.0, seed=3)
     rec = run_trajectory(cfg, 300, stride=300)
     assert sorted(rec.weights[-1]) == [0.0, 1.0]
-    s = rec.final_state()
-    assert s.step == 300
-    assert np.array_equal(s.means, rec.means[-1])
-    assert np.array_equal(s.weights, rec.weights[-1])
+    s = SystemState(rec.means[-1], rec.weights[-1], 300)
     after = step(s, [0.5], 1000.0)
     assert after.step == 301 and sorted(after.weights) == [0.0, 1.0]
 
@@ -132,7 +126,7 @@ def assert_replays_step(cfg, rec, n_steps):
     returns the draws."""
     assert np.array_equal(rec.steps, np.arange(n_steps + 1))
     g = substream(cfg.seed)
-    state = cfg.initial_state()
+    state = SystemState(cfg.init_means.copy(), cfg.init_weights.copy())
     draws = []
     for t in range(n_steps + 1):
         if t:
@@ -209,7 +203,8 @@ def test_distances_add_coordinates_in_order():
                       init_weights=np.array([1.0, 2.0]), seed=0)
     assert classify(z, means) == 0
     assert assign_cells([z], means)[0] == 0
-    state = step(cfg.initial_state(), z, cfg.decay_rate)
+    state = step(SystemState(cfg.init_means.copy(), cfg.init_weights.copy()), z,
+                 cfg.decay_rate)
     assert np.array_equal(state.means[1], means[1])
     rec = run_trajectory(cfg, 1, record_winners=True, rng=_FixedDraws(z))
     assert rec.winners[0] == 0
@@ -327,6 +322,33 @@ def test_variance_curve_rejects_nan_decay():
         boundary_variance_curve([0.1, math.nan], [100], 4, 1)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: boundary_samples(0.1, [3], math.nan, 1), id="samples-nan-replicas"),
+    pytest.param(lambda: boundary_samples(0.1, [3], 2.7, 1), id="samples-fractional-replicas"),
+    pytest.param(lambda: boundary_samples(0.1, [2.5], 3, 1), id="samples-fractional-target"),
+    pytest.param(lambda: boundary_samples(0.1, [math.inf], 3, 1), id="samples-inf-target"),
+    pytest.param(lambda: boundary_variance_curve([0.1], [3], math.nan, 1),
+                 id="curve-nan-replicas"),
+    pytest.param(lambda: boundary_variance_curve([0.1], [math.nan], 3, 1), id="curve-nan-n"),
+    pytest.param(lambda: boundary_variance_curve([0.1], [-math.inf], 3, 1),
+                 id="curve-minus-inf-n"),
+    pytest.param(lambda: boundary_variance_curve([0.1], [2.5], 3, 1), id="curve-fractional-n"),
+])
+def test_ensemble_counts_must_be_whole_numbers(call):
+    # int() alone truncates 2.7 replicas to 2 and step 2.5 to 2, and raises
+    # its own ValueError or OverflowError on NaN and infinities
+    with pytest.raises(ParameterError, match="whole number"):
+        call()
+
+
+def test_ensemble_counts_accept_numpy_integers():
+    want = boundary_samples(0.1, [3], 4, 1)
+    got = boundary_samples(0.1, [np.int64(3)], np.int32(4), 1)
+    assert np.array_equal(got[3], want[3])
+    curve = boundary_variance_curve([0.1], [np.int64(3), math.inf], np.int64(4), 1)
+    assert [e.n_steps for e in curve] == [3, equilibrium_steps(0.1)]
+
+
 _BOXES = {"unit": (0.0, 1.0), "offset": (-2.0, 0.5)}
 
 
@@ -400,7 +422,7 @@ def test_lockstep_single_replica_shares_the_start():
 
 
 def test_estimate_frozen_moments():
-    est = _estimate("b", 0.2, math.inf, 2000, [0.0, 1.0, 2.0, 3.0])
+    est = _estimate(0.2, math.inf, 2000, [0.0, 1.0, 2.0, 3.0])
     assert est.mean == 1.5
     assert est.variance == pytest.approx(5.0 / 3.0, rel=1e-15)
     assert est.stderr == pytest.approx(math.sqrt(5.0 / 12.0), rel=1e-15)
@@ -408,7 +430,7 @@ def test_estimate_frozen_moments():
     assert est.n_replicas == 4
     assert est.n == math.inf and est.n_steps == 2000
     with pytest.raises(ParameterError):
-        _estimate("b", 0.2, 1, 1, [0.5])
+        _estimate(0.2, 1, 1, [0.5])
 
 
 def test_variance_curve_grid_layout():
@@ -432,6 +454,14 @@ def test_longest_starvation_counts_gaps():
     assert longest_starvation(np.array([1, 1, 1, 0, 0, 0]), k=2, burn_in=3) == 3
 
 
+def test_longest_starvation_rejects_negative_burn_in():
+    # w[-5:] slices from the end and reports a gap longer than the run
+    winners = np.array([0, 1, 0, 1, 0, 0, 0, 0, 1, 1])
+    for bad in (-5, math.nan):
+        with pytest.raises(ParameterError, match="burn_in"):
+            longest_starvation(winners, 2, bad)
+
+
 def test_properties_pass_on_active_run():
     cfg = pair_config(0.1, seed=12)
     r1 = property_non_extinction(cfg, 20000, window=2000)
@@ -441,6 +471,13 @@ def test_properties_pass_on_active_run():
     assert r1.stats["max_starvation"] < 2000
     assert r2.stats["volume_fraction"] > 0.5
     assert r3.stats["late_variance_min"] > variance_floor(0.1)
+
+
+def test_non_extinction_rejects_nan_window():
+    # nan < 1 is false, so a sign test alone turns a NaN window into a
+    # failed check
+    with pytest.raises(ParameterError, match="window must be positive"):
+        property_non_extinction(pair_config(0.1, seed=12), 2000, window=math.nan)
 
 
 def test_properties_fail_when_doctored():
@@ -567,6 +604,7 @@ def test_theorem_suite_runs_the_decaying_trajectory_once(monkeypatch):
                  "this check is calibrated to the 2-category uniform model on [0, 1]",
                  id="three-categories"),
     pytest.param(0.1, 2, 2000, 0, 100, "window must be positive", id="zero-window"),
+    pytest.param(0.1, 2, 2000, math.nan, 100, "window must be positive", id="nan-window"),
     pytest.param(0.1, 2, 2000, 500, 0, "stride must be a positive integer",
                  id="zero-stride"),
     pytest.param(0.1, 2, 7, 500, 100, "n_steps too small for a late-window estimate",
@@ -601,6 +639,19 @@ def snapshot_config(decay_rate, seed=7):
 def test_snapshot_requires_2d():
     with pytest.raises(ParameterError):
         figure1_snapshot(pair_config(0.1, seed=7), 100)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    pytest.param({"prune_threshold": math.nan}, "prune_threshold", id="nan-threshold"),
+    pytest.param({"prune_threshold": -0.5}, "prune_threshold", id="negative-threshold"),
+    pytest.param({"grid_resolution": 0}, "grid_resolution", id="zero-grid"),
+    pytest.param({"grid_resolution": -3}, "grid_resolution", id="negative-grid"),
+    pytest.param({"grid_resolution": 1}, "grid_resolution", id="one-cell-grid"),
+    pytest.param({"grid_resolution": math.nan}, "grid_resolution", id="nan-grid"),
+])
+def test_snapshot_rejects_bad_threshold_and_grid(kwargs, message):
+    with pytest.raises(ParameterError, match=message):
+        figure1_snapshot(snapshot_config(0.1), 10, **kwargs)
 
 
 def test_snapshot_prunes_decayed_exemplars():

@@ -314,9 +314,6 @@ def test_system_state_validation():
             SystemState(np.array([[0.5]]), np.array([bad]))
     # a weight the dynamics decay to 0.0 is still a state
     assert SystemState(np.array([[0.5]]), np.array([0.0])).weights[0] == 0.0
-    state = pair_state([0.5, 1.5], [1.0, 1.0])
-    with pytest.raises(DomainError):
-        state.validate(UNIT)
 
 
 # ---------------------------------------------------------------------------
