@@ -51,32 +51,38 @@ def assign_cells(points, means) -> np.ndarray:
     return labels
 
 
-def _check_means(means) -> np.ndarray:
+def _check_input(means, n_samples) -> np.ndarray:
     means = _as_points(means)
     k = means.shape[0]
     for i in range(k):
         for j in range(i + 1, k):
             if np.array_equal(means[i], means[j]):
                 raise GeometryError(f"generator means {i} and {j} coincide")
+    if n_samples < 1:
+        raise GeometryError("n_samples must be at least 1")
     return means
+
+
+def _labelled_blocks(means, domain: Domain, n_samples: int, rng):
+    # n_samples uniform points drawn and classified in blocks of
+    # _ASSIGN_CHUNK rows, taking the same draws as a single batch would
+    for start in range(0, n_samples, _ASSIGN_CHUNK):
+        pts = domain.uniform_points(rng, min(_ASSIGN_CHUNK, n_samples - start))
+        yield pts, assign_cells(pts, means)
 
 
 def cell_stats(means, domain: Domain, n_samples: int, rng) -> CellStats:
     """Estimate cell volumes and centroids from n uniform sample points.
 
     The points are drawn, classified and summed in blocks of _ASSIGN_CHUNK
-    rows, so memory stays bounded whatever n_samples is; the blocks take
-    the same draws and add them in the same order as a single batch would.
+    rows, so memory stays bounded whatever n_samples is; the blocks add the
+    points in the same order as a single batch would.
     """
-    means = _check_means(means)
-    if n_samples < 1:
-        raise GeometryError("n_samples must be at least 1")
+    means = _check_input(means, n_samples)
     k = means.shape[0]
     counts = np.zeros(k, dtype=np.intp)
     sums = np.zeros((k, domain.dim))
-    for start in range(0, n_samples, _ASSIGN_CHUNK):
-        pts = domain.uniform_points(rng, min(_ASSIGN_CHUNK, n_samples - start))
-        labels = assign_cells(pts, means)
+    for pts, labels in _labelled_blocks(means, domain, n_samples, rng):
         counts += np.bincount(labels, minlength=k)
         np.add.at(sums, labels, pts)
     volumes = counts * (domain.volume / n_samples)
@@ -93,7 +99,7 @@ def centroidal_deviation(means, domain: Domain, n_samples: int, rng) -> float:
     An empty estimated cell counts as a deviation of diam(domain), which
     downstream tests read as a collapse signal.
     """
-    means = _check_means(means)
+    means = _check_input(means, n_samples)
     stats = cell_stats(means, domain, n_samples, rng)
     dev = np.where(
         stats.empty,
@@ -104,6 +110,14 @@ def centroidal_deviation(means, domain: Domain, n_samples: int, rng) -> float:
 
 
 def min_cell_volume(means, domain: Domain, n_samples: int, rng) -> float:
-    """Smallest estimated cell volume; 0 when some cell caught no samples."""
-    return float(cell_stats(means, domain, n_samples, rng).volumes.min())
+    """Smallest estimated cell volume; 0 when some cell caught no samples.
+
+    Same draws, labels and volumes as cell_stats, which also sums the
+    points for the centroids; this only counts the labels."""
+    means = _check_input(means, n_samples)
+    k = means.shape[0]
+    counts = np.zeros(k, dtype=np.intp)
+    for _, labels in _labelled_blocks(means, domain, n_samples, rng):
+        counts += np.bincount(labels, minlength=k)
+    return float((counts * (domain.volume / n_samples)).min())
 

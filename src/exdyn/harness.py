@@ -22,6 +22,11 @@ every recorded state equals iterating model.step on the same draws.  The
 replay tests prove it for the engine: every row of an ensemble equals
 run_trajectory on that row's stream.
 
+The scalar loops draw in chunks of _CHUNK points.  They collect the states
+they record, and the winners, in Python lists and store each chunk's into
+the record with one slice assignment per array, so recording every step
+costs list appends rather than numpy item stores.
+
 A run can be continued from a record's last state on the generator that
 made it, and the continued states equal those of one uninterrupted run.
 theorem_suite uses this to run its config once: one run's head keeps the
@@ -96,20 +101,26 @@ def _trajectory_general(config, n_steps, stride, rng, record_winners, cloud):
     n_rec = n_steps // stride + 1
     rec_means = np.empty((n_rec, config.k, config.domain.dim))
     rec_weights = np.empty((n_rec, config.k))
+    flat_means = rec_means.reshape(-1)
+    flat_weights = rec_weights.reshape(-1)
     rec_means[0] = means
     rec_weights[0] = weights
+    mean_end = rec_means[0].size  # where the next recorded state goes
+    weight_end = config.k
     # a winner is a category index below k: one byte per step up to k = 256
     winners = (np.empty(n_steps, dtype=np.min_scalar_type(config.k - 1))
                if record_winners else None)
 
     t = 0
-    r = 1
     while t < n_steps:
         m = min(_CHUNK, n_steps - t)
         if uniform:
             zs = config.domain.uniform_points(rng, m).tolist()
         else:
             zs = (sample(config.dist, config.domain, rng).tolist() for _ in range(m))
+        xs = []
+        ws = []
+        wins = []
         for z in zs:
             i = 0
             best = math.inf
@@ -131,17 +142,25 @@ def _trajectory_general(config, n_steps, stride, rng, record_winners, cloud):
             if cloud is not None:
                 cloud.add(i, z, t + 1)
             if record_winners:
-                winners[t] = i
+                wins.append(i)
             t += 1
             if t % stride == 0:
-                rec_means[r] = means
-                rec_weights[r] = weights
-                r += 1
+                for row in means:
+                    xs.extend(row)
+                ws.extend(weights)
+        flat_means[mean_end:mean_end + len(xs)] = xs
+        flat_weights[weight_end:weight_end + len(ws)] = ws
+        mean_end += len(xs)
+        weight_end += len(ws)
+        if record_winners:
+            winners[t - m:t] = wins
     return rec_means, rec_weights, winners
 
 
 def _trajectory_pair(config, n_steps, stride, rng, record_winners):
-    # scalar loop for the 1-D k=2 uniform case; arithmetic mirrors _advance
+    # scalar loop for the 1-D k=2 uniform case; arithmetic mirrors _advance.
+    # Record r holds x1, x2 at 2 r, 2 r + 1 of the flat means, and w1, w2
+    # likewise in the flat weights
     x1 = float(config.init_means[0, 0])
     x2 = float(config.init_means[1, 0])
     w1 = float(config.init_weights[0])
@@ -153,16 +172,22 @@ def _trajectory_pair(config, n_steps, stride, rng, record_winners):
     n_rec = n_steps // stride + 1
     rec_means = np.empty((n_rec, 2, 1))
     rec_weights = np.empty((n_rec, 2))
-    rec_means[0, 0, 0] = x1
-    rec_means[0, 1, 0] = x2
-    rec_weights[0, 0] = w1
-    rec_weights[0, 1] = w2
+    flat_means = rec_means.reshape(-1)
+    flat_weights = rec_weights.reshape(-1)
+    flat_means[:2] = x1, x2
+    flat_weights[:2] = w1, w2
     winners = np.empty(n_steps, dtype=np.uint8) if record_winners else None
 
     t = 0
-    r = 1
+    end = 2
     while t < n_steps:
         m = min(_CHUNK, n_steps - t)
+        xs = []
+        ws = []
+        wins = []
+        add_x = xs.append
+        add_w = ws.append
+        add_win = wins.append
         for u in rng.random(m).tolist():
             z = lo + span * u
             d1 = x1 - z
@@ -178,21 +203,32 @@ def _trajectory_pair(config, n_steps, stride, rng, record_winners):
                 w2 += 1.0
                 win = 1
             if record_winners:
-                winners[t] = win
+                add_win(win)
             t += 1
             if t % stride == 0:
-                rec_means[r, 0, 0] = x1
-                rec_means[r, 1, 0] = x2
-                rec_weights[r, 0] = w1
-                rec_weights[r, 1] = w2
-                r += 1
+                add_x(x1)
+                add_x(x2)
+                add_w(w1)
+                add_w(w2)
+        flat_means[end:end + len(xs)] = xs
+        flat_weights[end:end + len(ws)] = ws
+        end += len(xs)
+        if record_winners:
+            winners[t - m:t] = wins
     return rec_means, rec_weights, winners
+
+
+def _whole(value, message) -> int:
+    # int() alone would truncate 2.7 to 2 and raise its own errors on NaN and inf
+    if not float(value).is_integer():
+        raise ParameterError(message)
+    return int(value)
 
 
 def _run_length(n_steps, stride):
     # run_trajectory's argument checks, in its order
-    n_steps = int(n_steps)
-    stride = int(stride)
+    n_steps = _whole(n_steps, "n_steps must be a whole number")
+    stride = _whole(stride, "stride must be a whole number")
     if n_steps < 0:
         raise ParameterError("n_steps must be nonnegative")
     if stride < 1:
@@ -384,13 +420,6 @@ def _lockstep_states(means, weights, decay_rate, domain, gens, targets):
 _UNIT_INTERVAL = Domain(np.array([0.0]), np.array([1.0]))
 
 
-def _whole(value, message) -> int:
-    # int() alone would truncate 2.7 to 2 and raise its own errors on NaN and inf
-    if not float(value).is_integer():
-        raise ParameterError(message)
-    return int(value)
-
-
 def boundary_samples(decay_rate: float, n_targets, replicas: int,
                      master_seed, index: int = 0):
     """Boundary positions across an ensemble of 1-D two-category runs.
@@ -530,8 +559,8 @@ def property_non_extinction(config: ModelConfig, n_steps: int,
     10*ceil(1/decay_rate) steps, no stretch of ``window`` consecutive steps
     leaves any category empty-handed."""
     _check_starvation_input(config, window)
-    rec = run_trajectory(config, n_steps, stride=max(1, int(n_steps)),
-                         record_winners=True)
+    n, _ = _run_length(n_steps, 1)
+    rec = run_trajectory(config, n, stride=max(1, n), record_winners=True)
     return _extinction_report(config, n_steps, window, rec.winners)
 
 
@@ -813,6 +842,7 @@ def figure1_snapshot(config: ModelConfig, n_steps: int,
         raise ParameterError("prune_threshold must be nonnegative")
     if not grid_resolution >= 2:
         raise ParameterError("grid_resolution must be at least 2")
+    n_steps, _ = _run_length(n_steps, 1)
     if scatter_points is None:
         points, weights = config.init_means[:, None, :], config.init_weights[:, None]
     else:
@@ -820,12 +850,11 @@ def figure1_snapshot(config: ModelConfig, n_steps: int,
     cloud = ExemplarCloud(config.k, 2)
     for j in range(config.k):
         cloud.seed_category(j, points[j], weights[j], birth_step=0)
-    rec = run_trajectory(config, n_steps, stride=max(1, int(n_steps)),
-                         cloud=cloud)
-    kept = cloud.pruned(int(n_steps), config.decay_rate, prune_threshold)
+    rec = run_trajectory(config, n_steps, stride=max(1, n_steps), cloud=cloud)
+    kept = cloud.pruned(n_steps, config.decay_rate, prune_threshold)
     means = rec.means[-1]
     return SnapshotResult(
-        step=int(n_steps),
+        step=n_steps,
         positions=np.concatenate([locs for locs, _ in kept]),
         weights=np.concatenate([w for _, w in kept]),
         categories=np.concatenate(

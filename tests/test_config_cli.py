@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 import exdyn.harness
+from exdyn import cli
 from exdyn import (
     ConfigError,
     boundary_params,
     figure1_snapshot,
     parse_config,
+    run_trajectory,
     variance_of_Y,
 )
 from exdyn.cli import main, run
@@ -307,6 +309,56 @@ def test_cli_trajectory_writes_reproducible_csv(tmp_path, capsys):
     head = a.decode().splitlines()
     assert head[0] == "# experiment = trajectory"
     assert "n,x1,x2,b" in head
+
+
+# more rows than one formatting block, so a block edge is crossed
+_PAST_BLOCK = cli._BLOCK_ROWS + 3
+_THREE_IN_2D = """\
+experiment = trajectory
+seed = 12
+k = 3
+lambda = 0.02
+domain = 0 1 -1 2
+init_means = 0.1 0.2 0.5 0.5 0.9 -0.3
+init_weights = 1 2 3
+"""
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(f"preset = fig3-left\nn_steps = {_PAST_BLOCK}\nstride = 1\n",
+                 id="fig3-left"),
+    pytest.param(_THREE_IN_2D + f"n_steps = {3 * _PAST_BLOCK}\nstride = 3\n",
+                 id="k3-2d"),
+])
+def test_trajectory_csv_cells_format_the_record(tmp_path, config):
+    # every cell is str(step) or repr(float(x)) of the record's value, with
+    # x1, x2, b for the 1-D pair and every mean coordinate, then every
+    # weight, otherwise
+    spec = parse_config(config, default_experiment="trajectory")
+    assert run("trajectory", spec, tmp_path) == (0, None)
+    rec = run_trajectory(spec.model, spec.n_steps, spec.stride)
+    if spec.model.k == 2 and spec.model.domain.dim == 1:
+        values = np.column_stack([rec.means[:, 0, 0], rec.means[:, 1, 0],
+                                  rec.boundaries])
+    else:
+        values = np.column_stack([rec.means.reshape(len(rec.means), -1),
+                                  rec.weights])
+    want = [",".join([str(int(n)), *(repr(float(x)) for x in row)])
+            for n, row in zip(rec.steps, values)]
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    data = [line for line in lines if not line.startswith("#")][1:]
+    assert len(data) > cli._BLOCK_ROWS
+    assert data == want
+
+
+def test_float_texts_tell_signed_zeros_apart():
+    # a repeated value reuses the text above it only if its bits are equal;
+    # 0.0 == -0.0, so == would print the second as 0.0.  The strided column
+    # is how the writer reads a record
+    column = np.array([[0.0, 1.0], [-0.0, 1.0], [-0.0, 2.0], [0.0, 2.0]])[:, 0]
+    assert cli._float_texts(column) == ["0.0", "-0.0", "-0.0", "0.0"]
+    assert cli._float_texts(np.array([1.5, 1.5, 0.1, 0.1, 1.5])) == \
+        ["1.5", "1.5", "0.1", "0.1", "1.5"]
 
 
 def test_cli_single_category_column_names(tmp_path):

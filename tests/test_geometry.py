@@ -137,6 +137,16 @@ def test_min_cell_volume_oracles():
     assert min_cell_volume([0.1, 0.2], UNIT, N, substream(18)) == pytest.approx(0.15, abs=TOL)
 
 
+@pytest.mark.parametrize("n", [1, 4096, (1 << 16) + 5])
+def test_min_cell_volume_equals_cell_stats(n):
+    # min_cell_volume counts the labels of the same draws that cell_stats
+    # also sums; n = 2^16 + 5 spans two classification blocks
+    means = substream(20).random((3, 2))
+    box = Domain(np.array([0.0, -1.0]), np.array([2.0, 1.5]))
+    vol = min_cell_volume(means, box, n, substream(21))
+    assert vol == cell_stats(means, box, n, substream(21)).volumes.min()
+
+
 def test_estimated_split_converges_to_boundary():
     # the first cell's estimated volume is a counting estimate of the
     # boundary b = (0.3 + 0.9) / 2

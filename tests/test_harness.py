@@ -98,6 +98,36 @@ def test_run_trajectory_input_validation():
         run_trajectory(cfg, 10, stride=0)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda cfg: run_trajectory(cfg, 10.7, stride=2.5), id="fractional-both"),
+    pytest.param(lambda cfg: run_trajectory(cfg, 10, stride=2.5), id="fractional-stride"),
+    pytest.param(lambda cfg: run_trajectory(cfg, math.nan), id="nan-steps"),
+    pytest.param(lambda cfg: run_trajectory(cfg, math.inf), id="inf-steps"),
+    pytest.param(lambda cfg: run_trajectory(cfg, 10, stride=math.inf), id="inf-stride"),
+    pytest.param(lambda cfg: property_non_collapse(cfg, 2000, check_stride=2.5),
+                 id="collapse-fractional-stride"),
+    pytest.param(lambda cfg: property_non_extinction(cfg, math.nan), id="extinction-nan-steps"),
+    pytest.param(lambda cfg: theorem_suite(cfg, 2000, check_stride=2.5),
+                 id="suite-fractional-stride"),
+    pytest.param(lambda cfg: figure1_snapshot(snapshot_config(0.1), math.inf),
+                 id="snapshot-inf-steps"),
+])
+def test_run_lengths_must_be_whole_numbers(call):
+    # int() alone records steps [0 2 4 6 8 10] for 10.7 steps at stride
+    # 2.5, runs 1000 checks at stride 2 for check_stride 2.5, and raises
+    # its own ValueError or OverflowError on NaN and infinities
+    with pytest.raises(ParameterError, match="whole number"):
+        call(pair_config(0.1, seed=3))
+
+
+def test_run_lengths_accept_whole_floats_and_numpy_integers():
+    cfg = pair_config(0.1, seed=3)
+    want = run_trajectory(cfg, 10, stride=2)
+    got = run_trajectory(cfg, np.int64(10), stride=2.0)
+    assert got.stride == 2 and np.array_equal(got.steps, want.steps)
+    assert np.array_equal(got.means, want.means)
+
+
 @pytest.mark.parametrize("k,dim", [(k, dim) for k in range(1, 6)
                                    for dim in range(1, 4)])
 @settings(max_examples=4, deadline=None)
@@ -121,10 +151,11 @@ def test_run_trajectory_matches_step_reference(k, dim, decay_rate, lower, span,
 
 
 def assert_replays_step(cfg, rec, n_steps):
-    """rec, run with stride=1 and record_winners=True, holds the states of
-    iterating model.step on sample(...) draws from the config's stream;
-    returns the draws."""
-    assert np.array_equal(rec.steps, np.arange(n_steps + 1))
+    """rec, run with record_winners=True, holds every rec.stride-th state
+    and every winner of iterating model.step on sample(...) draws from the
+    config's stream; returns the draws."""
+    stride = rec.stride
+    assert np.array_equal(rec.steps, np.arange(0, n_steps + 1, stride))
     g = substream(cfg.seed)
     state = SystemState(cfg.init_means.copy(), cfg.init_weights.copy())
     draws = []
@@ -134,9 +165,30 @@ def assert_replays_step(cfg, rec, n_steps):
             draws.append(z)
             assert rec.winners[t - 1] == classify(z, state.means)
             state = step(state, z, cfg.decay_rate)
-        assert np.array_equal(rec.means[t], state.means)
-        assert np.array_equal(rec.weights[t], state.weights)
+        if t % stride == 0:
+            assert np.array_equal(rec.means[t // stride], state.means)
+            assert np.array_equal(rec.weights[t // stride], state.weights)
     return draws
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("k,dim", [(2, 1), (4, 2)])
+def test_run_trajectory_matches_step_reference_across_chunks(k, dim, stride):
+    # the engines store a chunk's recorded states and winners when the
+    # chunk ends: 2 chunks and 3 draws cross that edge twice, and stride 7
+    # does not divide the chunk, so the records fall at a different offset
+    # in each chunk.  k=2 in 1-D runs the pair engine, k=4 in 2-D the
+    # generic one
+    n_steps = 2 * harness._CHUNK + 3
+    domain = Domain(np.full(dim, -1.0), np.full(dim, 2.0))
+    init = substream(k, dim, stride)
+    cfg = ModelConfig(k=k, decay_rate=0.01, domain=domain,
+                      dist=DistributionSpec.uniform(),
+                      init_means=domain.uniform_points(init, k),
+                      init_weights=init.uniform(0.5, 50.0, k), seed=10 * k + stride)
+    rec = run_trajectory(cfg, n_steps, stride=stride, record_winners=True)
+    assert len(rec.means) == n_steps // stride + 1
+    assert_replays_step(cfg, rec, n_steps)
 
 
 @pytest.mark.parametrize("k,dim", [(2, 1), (3, 2), (4, 3)])
