@@ -33,7 +33,10 @@ theorem_suite uses this to run its config once: one run's head keeps the
 winners and every check_stride-th state, its last quarter continues at
 stride 1, and the non-extinction, non-collapse and non-convergence reports
 are built from that run by the same code as the standalone checks, which
-each run the trajectory themselves.
+each run the trajectory themselves.  figure1_snapshot runs its head without
+an exemplar cloud and feeds the cloud only from a tail as long as the
+survivor horizon, the age past which an absorbed point weighs no more than
+the cutoff, so the cloud grows with that horizon, not with n_steps.
 """
 
 from __future__ import annotations
@@ -244,7 +247,11 @@ def run_trajectory(config: ModelConfig, n_steps: int, stride: int = 1,
     The record always contains the initial state.  With the default rng the
     run is a pure function of config (draws come from the config seed's main
     stream); pass an explicit generator to replay e.g. one ensemble replica.
-    If ``cloud`` is given, every absorbed point is appended to it.
+    If ``cloud`` is given, every absorbed point is appended to it with the
+    run's own step count as its birth step: the point absorbed by the t-th
+    step of this run is born at step t, whatever state the run started
+    from.  figure1_snapshot relies on this to feed the cloud from a run
+    continued partway through.
     """
     n_steps, stride = _run_length(n_steps, stride)
     if rng is None:
@@ -264,7 +271,8 @@ def run_trajectory(config: ModelConfig, n_steps: int, stride: int = 1,
 
 
 def _continue_run(record: TrajectoryRecord, n_steps: int, stride: int, rng,
-                  record_winners: bool = False) -> TrajectoryRecord:
+                  record_winners: bool = False,
+                  cloud: ExemplarCloud = None) -> TrajectoryRecord:
     """Run n_steps more from the record's last state, drawing from ``rng``.
 
     Passing the generator the record was made with continues the same
@@ -277,7 +285,7 @@ def _continue_run(record: TrajectoryRecord, n_steps: int, stride: int, rng,
     object.__setattr__(cont, "init_means", record.means[-1])
     object.__setattr__(cont, "init_weights", record.weights[-1])
     return run_trajectory(cont, n_steps, stride=stride, rng=rng,
-                          record_winners=record_winners)
+                          record_winners=record_winners, cloud=cloud)
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +530,10 @@ def longest_starvation(winners, k: int, burn_in: int = 0) -> int:
     without a single win.  winners[t] is the winner of update t+1."""
     if not burn_in >= 0:
         raise ParameterError("burn_in must be nonnegative")
+    burn_in = _whole(burn_in, "burn_in must be a whole number")
     w = np.asarray(winners)
     n = w.shape[0]
-    burn_in = min(int(burn_in), n)
+    burn_in = min(burn_in, n)
     worst = 0
     for j in range(k):
         times = np.flatnonzero(w[burn_in:] == j) + burn_in + 1
@@ -823,6 +832,24 @@ def _grid_boundary_segments(means, domain, resolution: int) -> np.ndarray:
     return np.concatenate(pieces)
 
 
+def _survivor_horizon(n_steps, decay_rate, threshold) -> int:
+    # how many of a run's last steps can absorb a point that still weighs
+    # more than threshold at its end.  A point absorbed a steps before the
+    # end weighs exp(-decay_rate a), so ages above log(1/threshold) /
+    # decay_rate fall to the cut.  Ages 0 .. floor(reach) + 1 are kept: one
+    # step beyond the last age that can pass, far more than rounding moves
+    # it.  Counting more steps than needed costs only time, as the cut
+    # itself still decides
+    if threshold >= 1.0:
+        return 0
+    if decay_rate == 0 or threshold == 0:
+        return n_steps
+    reach = -math.log(threshold) / decay_rate
+    if not reach < n_steps:  # also catches reach = inf for a tiny decay_rate
+        return n_steps
+    return min(int(reach) + 2, n_steps)
+
+
 def figure1_snapshot(config: ModelConfig, n_steps: int,
                      prune_threshold: float = 0.01,
                      scatter_points: np.ndarray = None,
@@ -835,6 +862,14 @@ def figure1_snapshot(config: ModelConfig, n_steps: int,
     config starts from, each of weight 1.  Without them the initial mass of
     each category is a single lumped exemplar at its starting mean, which
     decays exactly like the individual points it stands for.
+
+    Only the exemplars absorbed in the run's last steps can survive the
+    cutoff, so only those are kept: the run's head goes unrecorded and
+    without a cloud, and its tail continues on the same stream and feeds
+    the cloud.  The tail counts its births from its own first step, so the
+    initial exemplars are born at -(length of the head) and the cloud is
+    read at the tail's length: every age, and so every weight and every
+    row, equals that of one run feeding the cloud from step 0.
     """
     if config.domain.dim != 2:
         raise ParameterError("snapshots are defined for 2-D configs")
@@ -843,15 +878,19 @@ def figure1_snapshot(config: ModelConfig, n_steps: int,
     if not grid_resolution >= 2:
         raise ParameterError("grid_resolution must be at least 2")
     n_steps, _ = _run_length(n_steps, 1)
+    tail = _survivor_horizon(n_steps, config.decay_rate, prune_threshold)
+    head_len = n_steps - tail
     if scatter_points is None:
         points, weights = config.init_means[:, None, :], config.init_weights[:, None]
     else:
         points, weights = scatter_points, np.ones(scatter_points.shape[:2])
     cloud = ExemplarCloud(config.k, 2)
     for j in range(config.k):
-        cloud.seed_category(j, points[j], weights[j], birth_step=0)
-    rec = run_trajectory(config, n_steps, stride=max(1, n_steps), cloud=cloud)
-    kept = cloud.pruned(n_steps, config.decay_rate, prune_threshold)
+        cloud.seed_category(j, points[j], weights[j], birth_step=-head_len)
+    rng = substream(config.seed)
+    head = run_trajectory(config, head_len, stride=max(1, head_len), rng=rng)
+    rec = _continue_run(head, tail, max(1, tail), rng, cloud=cloud)
+    kept = cloud.pruned(tail, config.decay_rate, prune_threshold)
     means = rec.means[-1]
     return SnapshotResult(
         step=n_steps,

@@ -24,6 +24,7 @@ from exdyn import (
     figure1_snapshot,
     limit_total_weight,
     longest_starvation,
+    parse_config,
     property_macqueen_cvt,
     property_non_collapse,
     property_non_convergence,
@@ -514,6 +515,22 @@ def test_longest_starvation_rejects_negative_burn_in():
             longest_starvation(winners, 2, bad)
 
 
+@pytest.mark.parametrize("bad", [
+    pytest.param(math.inf, id="inf"),
+    pytest.param(2.5, id="fractional"),
+])
+def test_longest_starvation_rejects_a_burn_in_that_is_not_whole(bad):
+    # int() raises OverflowError on inf and silently reads 2.5 as 2
+    winners = np.array([0, 1, 0, 1, 0, 0, 0, 0, 1, 1])
+    with pytest.raises(ParameterError, match="burn_in must be a whole number"):
+        longest_starvation(winners, 2, bad)
+
+
+def test_longest_starvation_accepts_whole_floats_and_numpy_integers():
+    winners = np.array([1, 1, 1, 0, 0, 0])
+    assert longest_starvation(winners, 2, 3.0) == longest_starvation(winners, 2, np.int64(3)) == 3
+
+
 def test_properties_pass_on_active_run():
     cfg = pair_config(0.1, seed=12)
     r1 = property_non_extinction(cfg, 20000, window=2000)
@@ -722,6 +739,88 @@ def test_snapshot_prunes_decayed_exemplars():
 def test_snapshot_without_decay_keeps_everything():
     snap = figure1_snapshot(snapshot_config(0.0), 200, prune_threshold=0.0)
     assert snap.positions.shape[0] == 2 + 200
+
+
+def full_run_snapshot(config, n_steps, prune_threshold, scatter_points=None,
+                      grid_resolution=8):
+    # the snapshot as one run feeding the cloud from step 0
+    if scatter_points is None:
+        points, weights = config.init_means[:, None, :], config.init_weights[:, None]
+    else:
+        points, weights = scatter_points, np.ones(scatter_points.shape[:2])
+    cloud = ExemplarCloud(config.k, 2)
+    for j in range(config.k):
+        cloud.seed_category(j, points[j], weights[j], birth_step=0)
+    rec = run_trajectory(config, n_steps, stride=max(1, n_steps), cloud=cloud)
+    kept = cloud.pruned(n_steps, config.decay_rate, prune_threshold)
+    means = rec.means[-1]
+    return harness.SnapshotResult(
+        step=n_steps,
+        positions=np.concatenate([locs for locs, _ in kept]),
+        weights=np.concatenate([w for _, w in kept]),
+        categories=np.concatenate(
+            [np.full(locs.shape[0], j, dtype=np.int64) for j, (locs, _) in enumerate(kept)]),
+        means=means,
+        category_weights=rec.weights[-1],
+        boundary_segments=_grid_boundary_segments(means, config.domain, grid_resolution),
+        prune_threshold=float(prune_threshold),
+    )
+
+
+SNAPSHOT_SCATTER = np.random.default_rng(5).random((2, 3, 2))
+
+
+@pytest.mark.parametrize("decay_rate", [0.0, 1e-300, 0.05, 3.0])
+@pytest.mark.parametrize("threshold", [0.0, 5e-324, 0.01, 1.0, 1e308, math.inf])
+def test_snapshot_equals_one_run_feeding_the_cloud(decay_rate, threshold):
+    cfg = snapshot_config(decay_rate)
+    horizon = harness._survivor_horizon(10**6, decay_rate, threshold)
+    lengths = {0, 1, 60}
+    if horizon < 10**6:
+        lengths |= {n for n in (horizon - 1, horizon, horizon + 1) if n >= 0}
+    for n_steps in sorted(lengths):
+        for scatter in (None, SNAPSHOT_SCATTER):
+            got = figure1_snapshot(cfg, n_steps, threshold, scatter_points=scatter,
+                                   grid_resolution=8)
+            want = full_run_snapshot(cfg, n_steps, threshold, scatter)
+            for field in harness.SnapshotResult.__dataclass_fields__:
+                a, b = getattr(got, field), getattr(want, field)
+                assert np.array_equal(a, b), (n_steps, scatter is not None, field)
+                assert np.asarray(a).dtype == np.asarray(b).dtype
+
+
+@pytest.mark.parametrize("n_steps,decay_rate,threshold,expected", [
+    pytest.param(10**6, 0.05, 0.01, 94, id="fig1"),
+    pytest.param(50, 0.05, 0.01, 50, id="short-run"),
+    pytest.param(0, 0.05, 0.01, 0, id="no-steps"),
+    pytest.param(10**6, 0.0, 0.01, 10**6, id="no-decay"),
+    pytest.param(10**6, 0.05, 0.0, 10**6, id="zero-threshold"),
+    pytest.param(10**6, 0.05, 1.0, 0, id="unit-threshold"),
+    pytest.param(10**6, 0.05, math.inf, 0, id="inf-threshold"),
+    pytest.param(10**6, 0.05, 5e-324, 14890, id="subnormal-threshold"),
+    pytest.param(10**6, 1e-300, 0.01, 10**6, id="tiny-decay"),
+    pytest.param(10**6, 5e-324, 5e-324, 10**6, id="subnormal-both"),
+])
+def test_survivor_horizon(n_steps, decay_rate, threshold, expected):
+    assert harness._survivor_horizon(n_steps, decay_rate, threshold) == expected
+
+
+def test_snapshot_adds_only_the_exemplars_that_can_survive(monkeypatch):
+    adds = []
+    real = ExemplarCloud.add
+
+    def counting(self, category, location, birth_step):
+        adds.append(birth_step)
+        return real(self, category, location, birth_step)
+
+    monkeypatch.setattr(ExemplarCloud, "add", counting)
+    spec = parse_config("preset = fig1\nn_steps = 3000\n")
+    snap = figure1_snapshot(spec.model, spec.n_steps, spec.prune_threshold,
+                            scatter_points=spec.scatter_points, grid_resolution=8)
+    # fig1 keeps weights above 0.01 at decay 0.05: ages up to 92 survive
+    assert (spec.model.decay_rate, spec.prune_threshold) == (0.05, 0.01)
+    assert adds == list(range(1, 95))
+    assert snap.step == 3000 and snap.positions.shape[0] == 93
 
 
 def test_grid_boundary_segments_split_pair():
