@@ -232,9 +232,9 @@ class ModelConfig:
 def _squared_norms(diff) -> np.ndarray:
     """Sum of squares over the last axis, adding the coordinates in order.
 
-    This is the order of the scalar engines' ``d += e * e`` loop.  numpy's
-    ``sum`` adds in the same order below 8 coordinates but pairwise from 8
-    on, which can flip a near-tie between two distances.
+    This is the order of the single-run step loop's ``e_0 * e_0 + e_1 *
+    e_1 + ...``.  numpy's ``sum`` adds in the same order below 8 coordinates
+    but pairwise from 8 on, which can flip a near-tie between two distances.
     """
     sq = diff * diff
     d2 = sq[..., 0].copy()
@@ -256,9 +256,10 @@ def _advance(means, weights, z, decay) -> int:
     """In-place one-step update; returns the winning category index.
 
     This is the reference arithmetic.  model.step and ar1.mean_map run it;
-    the trajectory engines in harness repeat it in Python floats, and the
-    step-reference test in tests/test_harness.py checks that their states
-    equal iterating model.step bit for bit.
+    harness's single-run step loop repeats it in Python floats and its
+    lockstep engine over a replica axis, and the step-reference and replay
+    tests in tests/test_harness.py check that their states equal iterating
+    model.step bit for bit.
     """
     i = int(np.argmin(_squared_norms(means - z)))
     weights *= decay

@@ -139,8 +139,8 @@ def test_run_lengths_accept_whole_floats_and_numpy_integers():
 @example(decay_rate=0.05, lower=0.0, span=1.0, seed=11, n_steps=500)
 def test_run_trajectory_matches_step_reference(k, dim, decay_rate, lower, span,
                                                seed, n_steps):
-    # k=2 in 1-D runs the pair engine, every other shape the generic one;
-    # both must replay model.step on the same draws bit for bit
+    # every shape runs its own generated loop, which must replay model.step
+    # on the same draws bit for bit
     domain = Domain(np.full(dim, lower), np.full(dim, lower + span))
     init = substream(seed, 99)
     cfg = ModelConfig(k=k, decay_rate=decay_rate, domain=domain,
@@ -151,20 +151,22 @@ def test_run_trajectory_matches_step_reference(k, dim, decay_rate, lower, span,
     assert_replays_step(cfg, rec, n_steps)
 
 
-def assert_replays_step(cfg, rec, n_steps):
-    """rec, run with record_winners=True, holds every rec.stride-th state
-    and every winner of iterating model.step on sample(...) draws from the
-    config's stream; returns the draws."""
+def assert_replays_step(cfg, rec, n_steps, rng=None):
+    """rec holds every rec.stride-th state, and every winner if it kept
+    them, of iterating model.step from the config's state on sample(...)
+    draws from ``rng`` (by default the config's stream); returns the
+    draws."""
     stride = rec.stride
     assert np.array_equal(rec.steps, np.arange(0, n_steps + 1, stride))
-    g = substream(cfg.seed)
+    g = substream(cfg.seed) if rng is None else rng
     state = SystemState(cfg.init_means.copy(), cfg.init_weights.copy())
     draws = []
     for t in range(n_steps + 1):
         if t:
             z = sample(cfg.dist, cfg.domain, g)
             draws.append(z)
-            assert rec.winners[t - 1] == classify(z, state.means)
+            if rec.winners is not None:
+                assert rec.winners[t - 1] == classify(z, state.means)
             state = step(state, z, cfg.decay_rate)
         if t % stride == 0:
             assert np.array_equal(rec.means[t // stride], state.means)
@@ -172,30 +174,68 @@ def assert_replays_step(cfg, rec, n_steps):
     return draws
 
 
+def box_config(k, dim, decay_rate, seed, init_key):
+    domain = Domain(np.full(dim, -1.0), np.full(dim, 2.0))
+    init = substream(k, dim, init_key)
+    return ModelConfig(k=k, decay_rate=decay_rate, domain=domain,
+                       dist=DistributionSpec.uniform(),
+                       init_means=domain.uniform_points(init, k),
+                       init_weights=init.uniform(0.5, 50.0, k), seed=seed)
+
+
 @pytest.mark.parametrize("stride", [1, 7])
-@pytest.mark.parametrize("k,dim", [(2, 1), (4, 2)])
-def test_run_trajectory_matches_step_reference_across_chunks(k, dim, stride):
-    # the engines store a chunk's recorded states and winners when the
+@pytest.mark.parametrize("k,dim,record_winners", [
+    pytest.param(2, 1, True, id="2-1"),
+    pytest.param(4, 2, True, id="4-2"),
+    pytest.param(1, 1, True, id="1-1"),
+    pytest.param(3, 3, True, id="3-3"),
+    pytest.param(12, 1, True, id="12-1"),
+    pytest.param(2, 1, False, id="2-1-no-winners"),
+    pytest.param(4, 2, False, id="4-2-no-winners"),
+])
+def test_run_trajectory_matches_step_reference_across_chunks(k, dim, record_winners,
+                                                             stride):
+    # the engine stores a chunk's recorded states and winners when the
     # chunk ends: 2 chunks and 3 draws cross that edge twice, and stride 7
     # does not divide the chunk, so the records fall at a different offset
-    # in each chunk.  k=2 in 1-D runs the pair engine, k=4 in 2-D the
-    # generic one
+    # in each chunk.  The shapes cover each form of generated loop: k = 1
+    # with no comparison, k = 2 with one, and running minima that pick the
+    # winner through dispatch trees 1, 2 and 4 tests deep
     n_steps = 2 * harness._CHUNK + 3
-    domain = Domain(np.full(dim, -1.0), np.full(dim, 2.0))
-    init = substream(k, dim, stride)
-    cfg = ModelConfig(k=k, decay_rate=0.01, domain=domain,
-                      dist=DistributionSpec.uniform(),
-                      init_means=domain.uniform_points(init, k),
-                      init_weights=init.uniform(0.5, 50.0, k), seed=10 * k + stride)
-    rec = run_trajectory(cfg, n_steps, stride=stride, record_winners=True)
+    cfg = box_config(k, dim, 0.01, seed=10 * k + stride, init_key=stride)
+    rec = run_trajectory(cfg, n_steps, stride=stride, record_winners=record_winners)
     assert len(rec.means) == n_steps // stride + 1
+    assert (rec.winners is not None) == record_winners
     assert_replays_step(cfg, rec, n_steps)
+
+
+@pytest.mark.parametrize("k,dim", [(2, 1), (3, 2)])
+def test_continued_run_from_a_weight_decayed_to_zero_matches_step_reference(k, dim):
+    # at decay 1000 the decay factor is 0.0, so every losing weight is 0.0;
+    # a continued run starts from that state, which ModelConfig refuses
+    cfg = box_config(k, dim, 1000.0, seed=5, init_key=0)
+    g = substream(cfg.seed)
+    head = run_trajectory(cfg, 40, stride=40, rng=g)
+    assert 0.0 in head.weights[-1]
+    rec = harness._continue_run(head, 300, 7, g, record_winners=True)
+    rest = substream(cfg.seed)
+    rest.random((40, dim))  # the head's draws
+    assert_replays_step(rec.config, rec, 300, rng=rest)
+
+
+def test_each_run_shape_builds_its_loop_once():
+    harness._step_loop.cache_clear()
+    cfg = box_config(3, 2, 0.01, seed=4, init_key=0)
+    for _ in range(2):
+        run_trajectory(cfg, 2 * harness._CHUNK + 3, stride=7)
+    info = harness._step_loop.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 @pytest.mark.parametrize("k,dim", [(2, 1), (3, 2), (4, 3)])
 def test_density_run_matches_step_reference(k, dim):
-    # the density kind draws one rejection sample per step on the generic
-    # engine, including the k=2 1-D shape the pair engine takes when uniform
+    # the density kind draws one rejection sample per step and hands the
+    # loop the points themselves, with no map onto the box
     domain = Domain(np.full(dim, -1.0), np.full(dim, 2.0))
     dist = DistributionSpec.from_density(
         lambda z: 1.0 + 0.5 * math.sin(3.0 * float(z.sum())), envelope=1.5)
@@ -208,8 +248,8 @@ def test_density_run_matches_step_reference(k, dim):
 
 
 def test_cloud_run_matches_step_reference():
-    # with a cloud the k=2 1-D shape runs on the generic engine, which hands
-    # every draw to the cloud with birth step t for the t-th update
+    # with a cloud the loop hands every draw to the cloud with birth step t
+    # for the t-th update
     cfg = pair_config(0.05, seed=13)
     cloud = ExemplarCloud(2, 1)
     n = 600
@@ -225,14 +265,45 @@ def test_cloud_run_matches_step_reference():
 
 
 class _FixedDraws:
-    """Stands in for a generator whose uniform draws are given."""
+    """Stands in for a generator whose uniform draws are given; hands them
+    out in order, in whatever shape each call asks for."""
 
     def __init__(self, u):
-        self.u = np.array(u, ndmin=2)
+        self.u = np.ravel(u)
+        self.used = 0
 
     def random(self, shape):
-        assert shape == self.u.shape
-        return self.u
+        n = math.prod(np.atleast_1d(shape))
+        assert self.used + n <= self.u.size
+        self.used += n
+        return self.u[self.used - n:self.used].reshape(shape)
+
+
+@pytest.mark.parametrize("means,ties", [
+    pytest.param([[0.25], [0.75]], [(0, 1)] * 5, id="pair"),
+    pytest.param([[0.25, 0.25], [0.75, 0.25], [0.5, 0.75]],
+                 [(0, 1), (1, 2), (0, 2), (1, 2)], id="three-in-2d"),
+])
+def test_ties_go_to_the_lower_index(means, ties):
+    # each draw is the midpoint of two means, exactly as far from both and
+    # nearer than any other: random draws almost never tie like this
+    means = np.array(means)
+    k, dim = means.shape
+    cfg = ModelConfig(k=k, decay_rate=0.0, domain=Domain(np.zeros(dim), np.ones(dim)),
+                      dist=DistributionSpec.uniform(), init_means=means,
+                      init_weights=np.ones(k), seed=0)
+    state = SystemState(cfg.init_means.copy(), cfg.init_weights.copy())
+    draws = []
+    for a, b in ties:
+        z = (state.means[a] + state.means[b]) / 2.0
+        d = ((state.means - z) ** 2).sum(axis=1)
+        assert d[a] == d[b] == d.min() and np.count_nonzero(d == d.min()) == 2
+        draws.append(z)
+        state = step(state, z, cfg.decay_rate)
+    n = len(ties)
+    rec = run_trajectory(cfg, n, record_winners=True, rng=_FixedDraws(draws))
+    assert rec.winners.tolist() == [min(a, b) for a, b in ties]
+    assert_replays_step(cfg, rec, n, rng=_FixedDraws(draws))
 
 
 def test_distances_add_coordinates_in_order():
@@ -279,10 +350,9 @@ def test_winners_are_stored_as_small_integers(k):
     assert rec.winners.dtype == (np.uint8 if k == 2 else np.uint16)
     assert rec.winners.max() < k
     if k == 2:
-        # a cloud sends the k = 2 1-D shape to the generic engine
-        general = run_trajectory(cfg, 2000, stride=2000, record_winners=True,
-                                 cloud=ExemplarCloud(2, 1))
-        assert general.winners.dtype == np.uint8
+        with_cloud = run_trajectory(cfg, 2000, stride=2000, record_winners=True,
+                                    cloud=ExemplarCloud(2, 1))
+        assert with_cloud.winners.dtype == np.uint8
 
 
 def test_trajectory_deterministic_and_seed_sensitive():
@@ -717,8 +787,15 @@ def test_snapshot_requires_2d():
     pytest.param({"grid_resolution": -3}, "grid_resolution", id="negative-grid"),
     pytest.param({"grid_resolution": 1}, "grid_resolution", id="one-cell-grid"),
     pytest.param({"grid_resolution": math.nan}, "grid_resolution", id="nan-grid"),
+    pytest.param({"grid_resolution": math.inf}, "grid_resolution", id="inf-grid"),
+    pytest.param({"grid_resolution": 2.5}, "grid_resolution", id="fractional-grid"),
 ])
-def test_snapshot_rejects_bad_threshold_and_grid(kwargs, message):
+def test_snapshot_rejects_bad_threshold_and_grid(monkeypatch, kwargs, message):
+    # int() read 2.5 as 2 and raised OverflowError on inf, after the run
+    def no_run(*args, **kwargs):
+        raise AssertionError("the snapshot simulated before checking its input")
+
+    monkeypatch.setattr(harness, "run_trajectory", no_run)
     with pytest.raises(ParameterError, match=message):
         figure1_snapshot(snapshot_config(0.1), 10, **kwargs)
 
