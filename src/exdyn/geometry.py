@@ -2,6 +2,14 @@
 
 Cell volumes and centroids are estimated by classifying uniform points, so
 they work in any dimension; exact 1-D formulas live in the tests as oracles.
+
+The kernel works on blocks of _ASSIGN_CHUNK points and never builds a
+(points, k, dim) array.  ``assign_cells`` loops over the categories and
+keeps a running minimum of the squared distances, and ``cell_stats`` adds
+each cell's points one after another.  Both are written so that every label
+and every sum is the same, bit for bit, as a broadcast ``argmin`` and an
+``np.add.at`` over all points at once (tests/test_geometry.py keeps those
+as the reference).
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .model import Domain, _as_points, _squared_norms
+from .model import Domain, _as_points, _coincident_pair
 
 _ASSIGN_CHUNK = 1 << 16
 
@@ -37,27 +45,63 @@ class CellStats:
 def assign_cells(points, means) -> np.ndarray:
     """Nearest-mean label for each row of ``points``, ties to the lower index.
 
-    Same squared-distance comparison as model.classify, vectorized over
-    blocks of _ASSIGN_CHUNK rows so the (rows, k, dim) temporary stays
-    bounded whatever the number of points.
+    Same squared-distance comparison as model.classify.  Each block of
+    _ASSIGN_CHUNK rows goes through a loop over the categories: category i's
+    squared distances are summed coordinate by coordinate, in _squared_norms'
+    order, into one (rows,) buffer, and a row moves to i only when that sum
+    is strictly below its running minimum, so a tie stays with the lower
+    index, as with argmin.  The buffers are allocated once per call, so the
+    memory is O(_ASSIGN_CHUNK) whatever k, dim and the number of points.
+
+    The means must be finite (GeometryError otherwise).  A row's distances
+    are then all NaN (a NaN coordinate, label 0) or free of NaN, and the
+    running minimum picks what argmin picks, infinite distances included.
     """
     points = np.asarray(points, dtype=np.float64)
-    means = _as_points(means)
-    labels = np.empty(len(points), dtype=np.intp)
+    means = _finite_means(means)
+    if points.ndim != 2 or points.shape[1] != means.shape[1]:
+        raise GeometryError(f"points must be rows of {means.shape[1]} coordinates")
+    labels = np.zeros(len(points), dtype=np.intp)
+    rows = min(len(points), _ASSIGN_CHUNK)
+    best, dist, tmp = np.empty((3, rows))
+    less = np.empty(rows, dtype=bool)
     for start in range(0, len(points), _ASSIGN_CHUNK):
         block = points[start:start + _ASSIGN_CHUNK]
-        d2 = _squared_norms(block[:, None, :] - means[None, :, :])
-        labels[start:start + len(block)] = np.argmin(d2, axis=1)
+        m = len(block)
+        lab, b, d, t, lt = labels[start:start + m], best[:m], dist[:m], tmp[:m], less[:m]
+        _squared_distances(block, means[0], b, t)
+        for i in range(1, len(means)):
+            _squared_distances(block, means[i], d, t)
+            np.less(d, b, out=lt)
+            np.copyto(lab, i, where=lt)
+            np.minimum(b, d, out=b)
     return labels
 
 
-def _check_input(means, n_samples) -> np.ndarray:
+def _squared_distances(block, mean, out, tmp) -> None:
+    # out = (x_0 - m_0)^2 + (x_1 - m_1)^2 + ..., added in coordinate order
+    np.subtract(block[:, 0], mean[0], out=out)
+    np.multiply(out, out, out=out)
+    for c in range(1, len(mean)):
+        np.subtract(block[:, c], mean[c], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.add(out, tmp, out=out)
+
+
+def _finite_means(means) -> np.ndarray:
     means = _as_points(means)
-    k = means.shape[0]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if np.array_equal(means[i], means[j]):
-                raise GeometryError(f"generator means {i} and {j} coincide")
+    if len(means) == 0:
+        raise GeometryError("need at least one generator mean")
+    if not np.isfinite(means).all():
+        raise GeometryError("generator means must be finite")
+    return means
+
+
+def _check_input(means, n_samples) -> np.ndarray:
+    means = _finite_means(means)
+    pair = _coincident_pair(means)
+    if pair is not None:
+        raise GeometryError(f"generator means {pair[0]} and {pair[1]} coincide")
     if n_samples < 1:
         raise GeometryError("n_samples must be at least 1")
     return means
@@ -75,8 +119,13 @@ def cell_stats(means, domain: Domain, n_samples: int, rng) -> CellStats:
     """Estimate cell volumes and centroids from n uniform sample points.
 
     The points are drawn, classified and summed in blocks of _ASSIGN_CHUNK
-    rows, so memory stays bounded whatever n_samples is; the blocks add the
-    points in the same order as a single batch would.
+    rows, so memory stays bounded whatever n_samples is.  Floating-point
+    addition is not associative, so the sums are made in one fixed order:
+    each cell's points are added to its running sum one at a time, in draw
+    order, by a cumsum seeded with that sum.  This is the order of
+    ``np.add.at`` over all points at once, and much faster.  A per-block
+    ``bincount(weights=)`` or ``sum`` adds in another order and rounds
+    differently.
     """
     means = _check_input(means, n_samples)
     k = means.shape[0]
@@ -84,7 +133,11 @@ def cell_stats(means, domain: Domain, n_samples: int, rng) -> CellStats:
     sums = np.zeros((k, domain.dim))
     for pts, labels in _labelled_blocks(means, domain, n_samples, rng):
         counts += np.bincount(labels, minlength=k)
-        np.add.at(sums, labels, pts)
+        for i in range(k):
+            sel = np.compress(labels == i, pts, axis=0)  # a copy, like pts[mask] but faster
+            if len(sel):
+                sel[0] += sums[i]
+                sums[i] = np.cumsum(sel, axis=0)[-1]
     volumes = counts * (domain.volume / n_samples)
     centroids = np.full((k, domain.dim), np.nan)
     nonempty = counts > 0

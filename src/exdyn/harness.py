@@ -56,7 +56,7 @@ import numpy as np
 
 from .ar1 import _is_unit_pair, variance_of_Y
 from .errors import ParameterError
-from .geometry import assign_cells, centroidal_deviation, min_cell_volume
+from .geometry import _ASSIGN_CHUNK, assign_cells, centroidal_deviation, min_cell_volume
 from .model import (
     Domain,
     ExemplarCloud,
@@ -793,9 +793,17 @@ def _grid_boundary_segments(means, domain, resolution: int) -> np.ndarray:
     dy = span[1] / resolution
     cx = lo[0] + (np.arange(resolution) + 0.5) * dx
     cy = lo[1] + (np.arange(resolution) + 0.5) * dy
-    X, Y = np.meshgrid(cx, cy, indexing="ij")
-    labels = assign_cells(np.column_stack([X.ravel(), Y.ravel()]), means)
-    labels = labels.reshape(resolution, resolution)
+    # grid row i holds the points (cx[i], cy[j]); whole rows, at most
+    # _ASSIGN_CHUNK points, are classified at a time from one reused buffer
+    rows = max(1, _ASSIGN_CHUNK // resolution)
+    block = np.empty((min(rows, resolution), resolution, 2))
+    block[:, :, 1] = cy
+    labels = np.empty((resolution, resolution), dtype=np.intp)
+    for start in range(0, resolution, rows):
+        x = cx[start:start + rows]
+        block[:len(x), :, 0] = x[:, None]
+        labels[start:start + len(x)] = assign_cells(
+            block[:len(x)].reshape(-1, 2), means).reshape(len(x), resolution)
 
     pieces = []
     ii, jj = np.nonzero(labels[1:, :] != labels[:-1, :])

@@ -219,14 +219,35 @@ class ModelConfig:
             raise ParameterError(f"init_weights must have shape ({self.k},)")
         if not np.all((w > 0) & (w < np.inf)):
             raise ParameterError("init_weights must all be finite and strictly positive")
-        for i in range(self.k):
-            if not self.domain.contains(self.init_means[i]):
-                raise DomainError(f"init_means[{i}] lies outside the domain")
-            for j in range(i + 1, self.k):
-                if np.array_equal(self.init_means[i], self.init_means[j]):
-                    raise ParameterError(f"init_means {i} and {j} coincide")
+        m = self.init_means
+        inside = np.all((m >= self.domain.lower) & (m <= self.domain.upper), axis=1)
+        outside = np.flatnonzero(~inside)
+        pair = _coincident_pair(m)
+        # mean i's domain check comes before its coincidence check
+        if outside.size and (pair is None or outside[0] <= pair[0]):
+            raise DomainError(f"init_means[{outside[0]}] lies outside the domain")
+        if pair is not None:
+            raise ParameterError(f"init_means {pair[0]} and {pair[1]} coincide")
         if not (0 <= int(self.seed) < 2**64):
             raise ParameterError("seed must fit in 64 bits")
+
+
+def _coincident_pair(points):
+    """The first pair (i, j), i < j, of equal rows that a double loop over
+    i, then j > i, would meet; None when the rows are distinct.
+
+    i is the lowest index that a later row equals and j the lowest such
+    later row.  A stable lexicographic sort puts equal rows next to each
+    other in index order, so this is O(k log k).  Rows compare with ``==``:
+    -0.0 equals 0.0 and a row holding a NaN equals no row.
+    """
+    order = np.lexsort(points.T)
+    rows = points[order]
+    same = np.flatnonzero(np.all(rows[1:] == rows[:-1], axis=1))
+    if same.size == 0:
+        return None
+    t = same[np.argmin(order[same])]
+    return int(order[t]), int(order[t + 1])
 
 
 def _squared_norms(diff) -> np.ndarray:

@@ -1,5 +1,8 @@
-"""Cell-statistics tests against exact 1-D and half-square oracles."""
+"""Cell-statistics tests against exact 1-D and half-square oracles, and
+bit-for-bit checks of the classifier and the sums against the broadcast
+argmin and np.add.at they replace."""
 
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +28,31 @@ SQUARE = Domain(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
 # counting errors sit near 3 * 0.5 / sqrt(2e5) ~ 0.003; 0.01 is comfortable.
 N = 200_000
 TOL = 0.01
+BLOCK = 1 << 16  # geometry._ASSIGN_CHUNK
+
+
+def reference_labels(points, means):
+    # the broadcast classifier assign_cells used before its category loop:
+    # squared coordinate differences added in coordinate order, then argmin
+    diff = np.asarray(points, dtype=float)[:, None, :] - np.asarray(means, dtype=float)[None]
+    sq = diff * diff
+    d2 = sq[..., 0].copy()
+    for c in range(1, sq.shape[-1]):
+        d2 += sq[..., c]
+    return np.argmin(d2, axis=1)
+
+
+def reference_stats(points, means):
+    # counts and centroids as cell_stats made them with np.add.at over all
+    # points at once; an empty cell gets a NaN centroid
+    k = len(means)
+    labels = reference_labels(points, means)
+    counts = np.bincount(labels, minlength=k)
+    sums = np.zeros((k, points.shape[1]))
+    np.add.at(sums, labels, points)
+    centroids = np.full_like(sums, np.nan)
+    centroids[counts > 0] = sums[counts > 0] / counts[counts > 0, None]
+    return counts, centroids
 
 
 def test_assign_cells_agrees_with_classify():
@@ -57,6 +85,91 @@ def test_cell_stats_blocks_match_single_batch():
     assert np.array_equal(stats.volumes, counts * (SQUARE.volume / n))
     assert np.array_equal(stats.centroids, sums / counts[:, None])
     assert stats.samples_used == n
+
+
+def test_assign_cells_ties_go_to_the_lower_index():
+    # points on the bisector of two means, and at the point equidistant from
+    # three and from four means, are exact ties in floating point: every
+    # order of the means labels them with the lowest index, as argmin does
+    pts = np.array([[0.5, 0.0], [0.5, 0.3], [0.5, 1.0], [0.5, 0.5]])
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    for k in (2, 3, 4):
+        for perm in itertools.permutations(corners[:k]):
+            means = np.array(perm)
+            labels = assign_cells(pts, means)
+            assert np.array_equal(labels, reference_labels(pts, means))
+    # (0.5, y) is equidistant from (0, y') and (1, y'): label 0 of the pair
+    assert np.array_equal(assign_cells(pts, [[0.0, 0.4], [1.0, 0.4]]), [0, 0, 0, 0])
+    assert np.array_equal(assign_cells(pts, [[1.0, 0.4], [0.0, 0.4]]), [0, 0, 0, 0])
+    # the centre is equidistant from the three and the four corners
+    assert assign_cells([[0.5, 0.5]], corners[[2, 1, 0]])[0] == 0
+    assert assign_cells([[0.5, 0.5]], corners[::-1])[0] == 0
+
+
+@pytest.mark.parametrize("k, dim", [(1, 1), (4, 2), (3, 3), (12, 1)])
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_assign_cells_matches_the_broadcast_argmin(k, dim, n):
+    # block edges.  The means are distinct points of the 1/16 lattice and
+    # half the points lie on the 1/32 lattice, so many sit on bisectors
+    rng = substream(60, k, dim, n)
+    cells = rng.choice(17**dim, size=k, replace=False)
+    means = np.array(np.unravel_index(cells, (17,) * dim)).T / 16
+    pts = rng.random((n, dim))
+    pts[: n // 2] = np.round(pts[: n // 2] * 32) / 32
+    labels = assign_cells(pts, means)
+    assert labels.shape == (n,)
+    assert np.array_equal(labels, reference_labels(pts, means))
+
+
+@pytest.mark.parametrize("k, dim", [(1, 1), (4, 2), (3, 3), (12, 1)])
+def test_assign_cells_at_huge_magnitudes(k, dim):
+    # coordinates near 1e200 overflow the squared distances to inf; a row of
+    # infinite distances goes to the lowest index, as with argmin
+    rng = substream(61, k, dim)
+    means = rng.random((k, dim)) * 1e200
+    pts = np.concatenate([rng.random((BLOCK + 3, dim)) * 1e200,
+                          rng.random((5, dim)), -rng.random((5, dim)) * 1e200])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(assign_cells(pts, means), reference_labels(pts, means))
+        assert np.array_equal(assign_cells(pts / 1e200, means / 1e200),
+                              reference_labels(pts / 1e200, means / 1e200))
+
+
+def test_assign_cells_bad_input():
+    # non-finite means, no means and points of the wrong width are refused;
+    # a NaN or infinite point is labelled as argmin labels it
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(GeometryError, match="finite"):
+            assign_cells([[0.1]], [[0.5], [bad]])
+        with pytest.raises(GeometryError, match="finite"):
+            cell_stats([[0.5], [bad]], UNIT, 10, substream(1))
+    pts = np.array([[math.nan, 0.5], [0.5, math.inf], [-math.inf, 0.2], [0.9, 0.9]])
+    means = np.array([[0.8, 0.8], [0.2, 0.2], [0.5, 0.5]])
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(assign_cells(pts, means), reference_labels(pts, means))
+    with pytest.raises(GeometryError, match="rows of 2"):
+        assign_cells(np.zeros((4, 3)), means)
+    with pytest.raises(GeometryError, match="at least one"):
+        assign_cells(np.zeros((4, 1)), np.zeros((0, 1)))
+
+
+@pytest.mark.parametrize("means", [
+    [[0.2, 0.3], [0.7, 0.6], [0.45, 0.9], [0.5, 0.5]],
+    [[0.5, 0.5], [0.6, 0.5], [5.0, 5.0]],  # the far mean's cell stays empty
+    [[0.3], [0.5], [0.9], [0.1], [0.75]],
+    [[0.1, 0.2, 0.3], [0.9, 0.8, 0.7], [0.5, 0.5, 0.5]],
+])
+def test_cell_stats_sums_match_add_at(means):
+    # three blocks and a partial one, drawn as one batch for the reference
+    means = np.array(means)
+    dim = means.shape[1]
+    box = Domain(np.zeros(dim), np.ones(dim))
+    n = 3 * BLOCK + 123
+    stats = cell_stats(means, box, n, substream(62))
+    counts, centroids = reference_stats(box.uniform_points(substream(62), n), means)
+    assert np.array_equal(stats.counts, counts)
+    assert np.array_equal(stats.centroids, centroids, equal_nan=True)
+    assert stats.empty.any() == (means.max() > 1)
 
 
 def test_cell_stats_symmetric_split_1d():
@@ -100,8 +213,16 @@ def test_empty_cell_is_flagged():
 
 
 def test_duplicate_means_rejected():
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="generator means 0 and 1 coincide"):
         cell_stats([0.5, 0.5], UNIT, 100, substream(1))
+    # -0.0 equals 0.0; the lowest index with a duplicate, then its partner
+    with pytest.raises(GeometryError, match="generator means 1 and 3 coincide"):
+        centroidal_deviation([[0.5, 0.1], [0.2, 0.0], [0.7, 0.0], [0.2, -0.0], [0.2, 0.0]],
+                             SQUARE, 100, substream(1))
+    means = np.linspace(0.0, 1.0, 1000)[:, None]
+    means[999] = means[400]
+    with pytest.raises(GeometryError, match="generator means 400 and 999 coincide"):
+        min_cell_volume(means, UNIT, 100, substream(1))
     with pytest.raises(GeometryError):
         cell_stats([0.5], UNIT, 0, substream(1))
 

@@ -900,6 +900,55 @@ def test_snapshot_adds_only_the_exemplars_that_can_survive(monkeypatch):
     assert snap.step == 3000 and snap.positions.shape[0] == 93
 
 
+def _reference_grid_segments(means, domain, resolution):
+    # the whole-grid version _grid_boundary_segments replaced: all res^2
+    # centres built by meshgrid + column_stack, labelled by the broadcast
+    # argmin in blocks of 1 << 16 rows, as assign_cells then did
+    lo = domain.lower
+    span = domain.upper - domain.lower
+    dx = span[0] / resolution
+    dy = span[1] / resolution
+    cx = lo[0] + (np.arange(resolution) + 0.5) * dx
+    cy = lo[1] + (np.arange(resolution) + 0.5) * dy
+    X, Y = np.meshgrid(cx, cy, indexing="ij")
+    pts = np.column_stack([X.ravel(), Y.ravel()])
+    labels = np.empty(len(pts), dtype=np.intp)
+    for start in range(0, len(pts), 1 << 16):
+        diff = pts[start:start + (1 << 16), None, :] - means[None, :, :]
+        sq = diff * diff
+        labels[start:start + len(diff)] = np.argmin(sq[..., 0] + sq[..., 1], axis=1)
+    labels = labels.reshape(resolution, resolution)
+    pieces = []
+    ii, jj = np.nonzero(labels[1:, :] != labels[:-1, :])
+    if ii.size:
+        x = lo[0] + (ii + 1.0) * dx
+        y0 = lo[1] + jj * dy
+        pieces.append(np.stack([np.stack([x, y0], axis=1),
+                                np.stack([x, y0 + dy], axis=1)], axis=1))
+    ii, jj = np.nonzero(labels[:, 1:] != labels[:, :-1])
+    if ii.size:
+        y = lo[1] + (jj + 1.0) * dy
+        x0 = lo[0] + ii * dx
+        pieces.append(np.stack([np.stack([x0, y], axis=1),
+                                np.stack([x0 + dx, y], axis=1)], axis=1))
+    if not pieces:
+        return np.zeros((0, 2, 2))
+    return np.concatenate(pieces)
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 255, 512, 1000])
+def test_grid_boundary_segments_match_the_whole_grid(resolution):
+    # a non-unit square box has the same centres on both axes, so every
+    # diagonal centre (c, c) is exactly as far from (a, b) as from (b, a):
+    # the bisector of means 0 and 1 runs through grid centres at every
+    # resolution, and those ties go to mean 0
+    box = Domain(np.array([-1.5, -1.5]), np.array([2.5, 2.5]))
+    means = np.array([[0.3, 1.9], [1.9, 0.3], [-1.0, -1.2]])
+    segs = _grid_boundary_segments(means, box, resolution)
+    assert segs.dtype == np.float64
+    assert np.array_equal(segs, _reference_grid_segments(means, box, resolution))
+
+
 def test_grid_boundary_segments_split_pair():
     segs = _grid_boundary_segments(np.array([[0.25, 0.5], [0.75, 0.5]]),
                                    SQUARE, resolution=8)

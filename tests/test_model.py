@@ -2,6 +2,7 @@
 identities, and the samplers."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -304,6 +305,58 @@ def test_model_config_validation():
             build(init_weights=np.array([1.0, bad]))
     with pytest.raises(ParameterError):
         build(seed=2**64)
+
+
+def _loop_config_error(means, domain):
+    # the per-mean loop ModelConfig ran before its distinct-means check
+    # sorted the rows, kept as the reference for which error comes first
+    for i in range(len(means)):
+        if not domain.contains(means[i]):
+            return DomainError, f"init_means[{i}] lies outside the domain"
+        for j in range(i + 1, len(means)):
+            if np.array_equal(means[i], means[j]):
+                return ParameterError, f"init_means {i} and {j} coincide"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 3).flatmap(lambda dim: st.lists(
+    st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0, math.nan]),
+             min_size=dim, max_size=dim),
+    min_size=1, max_size=12)))
+def test_config_mean_checks_match_the_double_loop(rows):
+    # small integers make many coincident rows; -0.0 equals 0.0 and a NaN
+    # row equals nothing, as with np.array_equal; 2.0 and NaN lie outside
+    means = np.array(rows)
+    k, dim = means.shape
+    box = Domain(-np.ones(dim), np.ones(dim))
+    expected = _loop_config_error(means, box)
+    try:
+        ModelConfig(k=k, decay_rate=0.1, domain=box, dist=DistributionSpec.uniform(),
+                    init_means=means, init_weights=np.ones(k), seed=1)
+        got = None
+    except (DomainError, ParameterError) as exc:
+        got = type(exc), str(exc)
+    assert got == expected
+
+
+def test_distinct_means_check_is_fast_at_large_k():
+    k = 1000
+    box = Domain(np.array([0.0]), np.array([1.0]))
+    means = np.linspace(0.0, 1.0, k)[:, None]
+
+    def build(m):
+        return ModelConfig(k=k, decay_rate=0.1, domain=box, dist=DistributionSpec.uniform(),
+                           init_means=m, init_weights=np.ones(k), seed=1)
+
+    t0 = time.perf_counter()
+    build(means)
+    dup = means.copy()
+    dup[999] = dup[500]
+    dup[700] = dup[600]
+    with pytest.raises(ParameterError, match="init_means 500 and 999 coincide"):
+        build(dup)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_system_state_validation():
