@@ -50,8 +50,10 @@ def assign_cells(points, means) -> np.ndarray:
     squared distances are summed coordinate by coordinate, in _squared_norms'
     order, into one (rows,) buffer, and a row moves to i only when that sum
     is strictly below its running minimum, so a tie stays with the lower
-    index, as with argmin.  The buffers are allocated once per call, so the
-    memory is O(_ASSIGN_CHUNK) whatever k, dim and the number of points.
+    index, as with argmin.  The move is branch-free: labels = max(labels,
+    i * less), which is exact as every label is below i when category i is
+    tried.  The buffers are allocated once per call, so the memory is
+    O(_ASSIGN_CHUNK) whatever k, dim and the number of points.
 
     The means must be finite (GeometryError otherwise).  A row's distances
     are then all NaN (a NaN coordinate, label 0) or free of NaN, and the
@@ -64,16 +66,23 @@ def assign_cells(points, means) -> np.ndarray:
     labels = np.zeros(len(points), dtype=np.intp)
     rows = min(len(points), _ASSIGN_CHUNK)
     best, dist, tmp = np.empty((3, rows))
+    # tmp's storage, free once the distances are summed, holds i * less;
+    # less is copied in first, as multiply(less, i) would cast it through a
+    # 64 KB buffer on every call
+    moved = tmp.view(np.intp)
     less = np.empty(rows, dtype=bool)
     for start in range(0, len(points), _ASSIGN_CHUNK):
         block = points[start:start + _ASSIGN_CHUNK]
         m = len(block)
         lab, b, d, t, lt = labels[start:start + m], best[:m], dist[:m], tmp[:m], less[:m]
+        mv = moved[:m]
         _squared_distances(block, means[0], b, t)
         for i in range(1, len(means)):
             _squared_distances(block, means[i], d, t)
             np.less(d, b, out=lt)
-            np.copyto(lab, i, where=lt)
+            np.copyto(mv, lt)
+            np.multiply(mv, i, out=mv)
+            np.maximum(lab, mv, out=lab)
             np.minimum(b, d, out=b)
     return labels
 
@@ -97,14 +106,17 @@ def _finite_means(means) -> np.ndarray:
     return means
 
 
-def _check_input(means, n_samples) -> np.ndarray:
+def _check_input(means, n_samples):
+    # (means, n_samples as an int); a whole float such as 4096.0 is accepted
     means = _finite_means(means)
     pair = _coincident_pair(means)
     if pair is not None:
         raise GeometryError(f"generator means {pair[0]} and {pair[1]} coincide")
+    if not float(n_samples).is_integer():
+        raise GeometryError("n_samples must be a whole number")
     if n_samples < 1:
         raise GeometryError("n_samples must be at least 1")
-    return means
+    return means, int(n_samples)
 
 
 def _labelled_blocks(means, domain: Domain, n_samples: int, rng):
@@ -127,7 +139,7 @@ def cell_stats(means, domain: Domain, n_samples: int, rng) -> CellStats:
     ``bincount(weights=)`` or ``sum`` adds in another order and rounds
     differently.
     """
-    means = _check_input(means, n_samples)
+    means, n_samples = _check_input(means, n_samples)
     k = means.shape[0]
     counts = np.zeros(k, dtype=np.intp)
     sums = np.zeros((k, domain.dim))
@@ -152,7 +164,7 @@ def centroidal_deviation(means, domain: Domain, n_samples: int, rng) -> float:
     An empty estimated cell counts as a deviation of diam(domain), which
     downstream tests read as a collapse signal.
     """
-    means = _check_input(means, n_samples)
+    means, n_samples = _check_input(means, n_samples)
     stats = cell_stats(means, domain, n_samples, rng)
     dev = np.where(
         stats.empty,
@@ -167,7 +179,7 @@ def min_cell_volume(means, domain: Domain, n_samples: int, rng) -> float:
 
     Same draws, labels and volumes as cell_stats, which also sums the
     points for the centroids; this only counts the labels."""
-    means = _check_input(means, n_samples)
+    means, n_samples = _check_input(means, n_samples)
     k = means.shape[0]
     counts = np.zeros(k, dtype=np.intp)
     for _, labels in _labelled_blocks(means, domain, n_samples, rng):

@@ -12,10 +12,11 @@ tagged substreams so they never disturb trajectory draws.
 
 Every single run goes through one engine: a step loop over Python floats
 whose source is generated for the run's shape (k, dim, whether it keeps
-winners, records every step, feeds an exemplar cloud, and maps draws onto
-the box) and compiled once per shape.  The generated loop keeps every mean
-coordinate and weight in a local variable, which runs 3.5 to 8 times as
-many steps per second as one loop over indexed lists for every shape;
+winners, records every step, feeds an exemplar cloud, maps draws onto the
+box, and decays the weights at all) and compiled once per shape.  The
+generated loop keeps every mean coordinate and weight in a local variable,
+which runs 3.5 to 8 times as many steps per second as one loop over
+indexed lists for every shape;
 numba and Cython, which could compile such a loop from one source, are
 not dependencies.  Ensembles of uniform-draw
 runs of any shape (k, dim) go through one lockstep engine, which advances
@@ -100,7 +101,7 @@ class TrajectoryRecord:
 
 
 @functools.lru_cache(maxsize=64)
-def _step_loop(k, dim, record_winners, every_step, with_cloud, transform):
+def _step_loop(k, dim, record_winners, every_step, with_cloud, transform, decays):
     """Compile the step loop of one run shape from generated source.
 
     loop(zs, t, stride, decay, box, state, recs, wins, cloud_add) runs the
@@ -113,7 +114,9 @@ def _step_loop(k, dim, record_winners, every_step, with_cloud, transform):
     coordinates in order, a running minimum with strict < so ties go to the
     lower index, every weight decayed, and the winner absorbing the point.
     Dropping _advance's 0.0 + before the first e * e is exact, as e * e is
-    never -0.0.
+    never -0.0, and so is dropping the decay when ``decays`` is false: the
+    decay factor is then 1.0 (decay_rate 0, or up to about 5.6e-17), and
+    x * 1.0 == x for every float x.
     """
     cats, coords = range(k), range(dim)
     z = ", ".join(f"z_{c}" for c in coords)
@@ -150,7 +153,7 @@ def _step_loop(k, dim, record_winners, every_step, with_cloud, transform):
         body += distance(0, "best") + ["i = 0"]
         for j in range(1, k):
             body += distance(j, "d") + ["if d < best:", f"    i = {j}", "    best = d"]
-    body += [f"w{j} *= decay" for j in cats] + ["t += 1"] * with_cloud
+    body += [f"w{j} *= decay" for j in cats if decays] + ["t += 1"] * with_cloud
     if k == 2:
         body += ["if d1 < d0:", *indent(absorb(1)), "else:", *indent(absorb(0))]
     else:
@@ -215,8 +218,9 @@ def run_trajectory(config: ModelConfig, n_steps: int, stride: int = 1,
     box = config.domain.lower.tolist() + (config.domain.upper - config.domain.lower).tolist()
     # on the unit box lo + span u = 0.0 + 1.0 u = u, bit for bit
     transform = uniform and box != [0.0] * dim + [1.0] * dim
-    loop = _step_loop(k, dim, record_winners, stride == 1, cloud is not None, transform)
     decay = math.exp(-config.decay_rate)
+    loop = _step_loop(k, dim, record_winners, stride == 1, cloud is not None, transform,
+                      decay != 1.0)
     cloud_add = None if cloud is None else cloud.add
 
     n_rec = n_steps // stride + 1
@@ -246,7 +250,8 @@ def run_trajectory(config: ModelConfig, n_steps: int, stride: int = 1,
         rec_weights[r:r + len(block)] = block[:, k * dim:]
         r += len(block)
         if record_winners:
-            winners[t:t + m] = wins
+            # bytes() packs small ints about 3x as fast as numpy converts a list
+            winners[t:t + m] = np.frombuffer(bytes(wins), np.uint8) if k <= 256 else wins
         t += m
 
     return TrajectoryRecord(config=config, stride=stride, means=rec_means,
@@ -317,13 +322,15 @@ def _lockstep_states(means, weights, decay_rate, domain, gens, targets):
     Each step repeats model._advance's arithmetic on all runs at once:
     squared distances summed over the coordinates in order, a running
     minimum with strict < so ties go to the lower index, every weight
-    decayed, and the winner's coordinates and weight gathered through flat
-    indices, updated and scattered back.  Every buffer is allocated once;
-    the draws of each chunk are mapped onto the box in place.
+    decayed (skipped for a decay factor of 1.0, as x * 1.0 == x), and the
+    winner's coordinates and weight gathered through flat indices, updated
+    and scattered back.  Every buffer is allocated once; the draws of each
+    chunk are mapped onto the box in place.
     """
     R = len(gens)
     k, dim = np.shape(means)[-2:]
     decay = math.exp(-decay_rate)
+    decays = decay != 1.0
     # means (dim, k, R) and weights (k, R): category i of replica r has its
     # weight at flat index i R + r and its coordinate c at c k R + i R + r,
     # so one gather index plus a fixed offset per coordinate reaches both
@@ -393,7 +400,8 @@ def _lockstep_states(means, weights, decay_rate, domain, gens, targets):
                 np.add(widx, replica, widx)
                 if dim > 1:
                     np.add(widx, coords, midx)
-            np.multiply(W, decay, W)
+            if decays:
+                np.multiply(W, decay, W)
             Wf.take(widx, None, wi, "clip")
             np.add(wi, 1.0, w1)
             Mf.take(midx, None, x, "clip")
@@ -422,8 +430,8 @@ def boundary_samples(decay_rate: float, n_targets, replicas: int,
     r), so any single row can be reproduced with run_trajectory on that
     stream.
     """
-    if not decay_rate > 0:
-        raise ParameterError("boundary ensembles require decay_rate > 0")
+    if not 0 < decay_rate < math.inf:
+        raise ParameterError("boundary ensembles require a finite decay_rate > 0")
     replicas = _whole(replicas, "replica count must be a whole number")
     if replicas < 1:
         raise ParameterError("need at least one replica")
@@ -530,6 +538,7 @@ def _check_starvation_input(config, window):
         raise ParameterError("non-extinction check requires decay_rate > 0")
     if not window >= 1:
         raise ParameterError("window must be positive")
+    _whole(window, "window must be a whole number")
 
 
 def _extinction_report(config, n_steps, window, winners) -> PropertyReport:

@@ -82,7 +82,10 @@ class Domain:
     def uniform_points(self, rng, n):
         """n i.i.d. uniform points, shape (n, N)."""
         u = rng.random((n, self.dim))
-        return self.lower + (self.upper - self.lower) * u
+        # in place, with the roundings of lower + (upper - lower) * u
+        u *= self.upper - self.lower
+        u += self.lower
+        return u
 
     def __eq__(self, other):
         if not isinstance(other, Domain):

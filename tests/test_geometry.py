@@ -227,6 +227,30 @@ def test_duplicate_means_rejected():
         cell_stats([0.5], UNIT, 0, substream(1))
 
 
+@pytest.mark.parametrize("estimate", [cell_stats, centroidal_deviation, min_cell_volume])
+@pytest.mark.parametrize("n_samples", [2.5, math.inf, -math.inf, math.nan])
+def test_sample_counts_must_be_whole_numbers(estimate, n_samples):
+    # before this check, range() raised numpy's bare TypeError on 2.5, inf
+    # and NaN, which no caller catches as an exdyn error
+    with pytest.raises(GeometryError, match="n_samples must be a whole number"):
+        estimate([[0.25], [0.75]], UNIT, n_samples, substream(1))
+
+
+def test_sample_counts_accept_whole_floats_and_numpy_integers():
+    means = [[0.2, 0.3], [0.7, 0.6], [0.45, 0.9]]
+    want = cell_stats(means, SQUARE, 1000, substream(2))
+    for n in (1000.0, np.int64(1000), np.float64(1000.0)):
+        got = cell_stats(means, SQUARE, n, substream(2))
+        assert type(got.samples_used) is int and got.samples_used == 1000
+        assert np.array_equal(got.counts, want.counts)
+        assert np.array_equal(got.volumes, want.volumes)
+        assert np.array_equal(got.centroids, want.centroids)
+        assert (min_cell_volume(means, SQUARE, n, substream(2))
+                == min_cell_volume(means, SQUARE, 1000, substream(2)))
+        assert (centroidal_deviation(means, SQUARE, n, substream(2))
+                == centroidal_deviation(means, SQUARE, 1000, substream(2)))
+
+
 def test_centroidal_deviation_oracles():
     # (0.25, 0.75) is the two-cell centroidal configuration of U[0,1]
     assert centroidal_deviation([0.25, 0.75], UNIT, N, substream(10)) < TOL

@@ -13,6 +13,7 @@ from exdyn import (
     DistributionSpec,
     EnsembleEstimate,
     ExemplarCloud,
+    GeometryError,
     ModelConfig,
     ParameterError,
     SystemState,
@@ -232,6 +233,42 @@ def test_each_run_shape_builds_its_loop_once():
     assert (info.misses, info.hits) == (1, 1)
 
 
+def test_identity_decay_builds_its_own_loop():
+    # a decay factor of 1.0 drops the weight decay from the generated loop:
+    # decay_rate 0 and 1e-17, whose factor rounds to 1.0, share that loop,
+    # and a decaying run of the same shape builds the other
+    harness._step_loop.cache_clear()
+    for decay_rate in (0.0, 1e-17, 0.01):
+        run_trajectory(box_config(3, 2, decay_rate, seed=4, init_key=0), 10)
+    info = harness._step_loop.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+
+
+@pytest.mark.parametrize("k,dim", [(1, 1), (2, 1), (3, 2), (5, 3)])
+def test_identity_decay_matches_step_reference(k, dim):
+    # at decay_rate 1e-17, exp(-decay_rate) rounds to 1.0: both engines skip
+    # the decay, while model.step multiplies every weight by 1.0, and every
+    # state must still agree bit for bit.  Three replicas of the lockstep
+    # engine replay three single runs, each checked against model.step
+    decay_rate = 1e-17
+    assert math.exp(-decay_rate) == 1.0
+    cfg = box_config(k, dim, decay_rate, seed=3 * k + dim, init_key=1)
+    n_steps = 600
+    gens = [replica_stream(cfg.seed, k, r) for r in range(3)]
+    states = harness._lockstep_states(cfg.init_means, cfg.init_weights, decay_rate,
+                                      cfg.domain, gens, [1, n_steps])
+    for r in range(3):
+        rec = run_trajectory(cfg, n_steps, stride=1, record_winners=True,
+                             rng=replica_stream(cfg.seed, k, r))
+        assert_replays_step(cfg, rec, n_steps, rng=replica_stream(cfg.seed, k, r))
+        for n in (1, n_steps):
+            assert states[n][0][r].tobytes() == rec.means[n].tobytes()
+            assert states[n][1][r].tobytes() == rec.weights[n].tobytes()
+    # nothing decays: the weights gain one unit per step, up to rounding
+    total = cfg.init_weights.sum() + n_steps
+    assert states[n_steps][1].sum(axis=1) == pytest.approx([total] * 3, rel=1e-12)
+
+
 @pytest.mark.parametrize("k,dim", [(2, 1), (3, 2), (4, 3)])
 def test_density_run_matches_step_reference(k, dim):
     # the density kind draws one rejection sample per step and hands the
@@ -355,6 +392,20 @@ def test_winners_are_stored_as_small_integers(k):
         assert with_cloud.winners.dtype == np.uint8
 
 
+@pytest.mark.parametrize("k", [256, 257])
+def test_winners_at_the_byte_edge_match_step_reference(k):
+    # up to k = 256 the winners are one byte each and are stored from bytes;
+    # from k = 257 on they take two bytes and the plain list assignment
+    cfg = ModelConfig(k=k, decay_rate=0.1, domain=UNIT,
+                      dist=DistributionSpec.uniform(),
+                      init_means=np.linspace(0.0, 1.0, k)[:, None],
+                      init_weights=np.ones(k), seed=9)
+    rec = run_trajectory(cfg, 300, stride=100, record_winners=True)
+    assert rec.winners.dtype == (np.uint8 if k == 256 else np.uint16)
+    assert_replays_step(cfg, rec, 300)
+    assert rec.winners.max() > 200
+
+
 def test_trajectory_deterministic_and_seed_sensitive():
     cfg = pair_config(0.05, seed=11)
     a = run_trajectory(cfg, 1000)
@@ -430,12 +481,21 @@ def test_boundary_samples_validation():
 
 def test_boundary_samples_rejects_nan_decay():
     # nan <= 0 is false, so a sign test alone let NaN boundaries through
-    with pytest.raises(ParameterError, match="require decay_rate > 0"):
+    with pytest.raises(ParameterError, match="require a finite decay_rate > 0"):
         boundary_samples(math.nan, [3], 4, 1)
-    # decay_rate = inf is a decay factor of 0.0 and a limit weight of 1
-    out = boundary_samples(math.inf, [0, 3], 4, 1)
-    assert np.array_equal(out[0], np.full(4, 0.5))
-    assert np.all((out[3] > 0.0) & (out[3] < 1.0))
+
+
+def test_ensembles_reject_an_infinite_decay():
+    # decay_rate = inf is a decay factor of 0.0, which ModelConfig refuses
+    # for a single run; the ensembles ran it until they refused it too
+    with pytest.raises(ParameterError, match="require a finite decay_rate > 0"):
+        boundary_samples(math.inf, [0, 3], 4, 1)
+    with pytest.raises(ParameterError, match="finite decay_rate > 0"):
+        boundary_variance_curve([math.inf], [3], 4, 1)
+    with pytest.raises(ParameterError, match="finite decay_rate > 0"):
+        boundary_variance_curve([0.1, math.inf], [3, math.inf], 4, 1)
+    with pytest.raises(ParameterError, match="decay_rate must be finite"):
+        replace(pair_config(0.1, seed=1), decay_rate=math.inf)
 
 
 def test_variance_curve_rejects_nan_decay():
@@ -619,6 +679,25 @@ def test_non_extinction_rejects_nan_window():
         property_non_extinction(pair_config(0.1, seed=12), 2000, window=math.nan)
 
 
+@pytest.mark.parametrize("window", [math.inf, 2.5])
+def test_non_extinction_window_must_be_a_whole_number(window):
+    # an infinite window passed every run, and 2.5 was compared as it stood
+    with pytest.raises(ParameterError, match="window must be a whole number"):
+        property_non_extinction(pair_config(0.1, seed=12), 2000, window=window)
+
+
+def test_non_extinction_window_accepts_whole_floats_and_numpy_integers():
+    cfg = pair_config(0.1, seed=12)
+    want = property_non_extinction(cfg, 2000, window=500)
+    for window in (500.0, np.int64(500)):
+        assert property_non_extinction(cfg, 2000, window=window) == want
+
+
+def test_non_collapse_sample_count_must_be_a_whole_number():
+    with pytest.raises(GeometryError, match="n_samples must be a whole number"):
+        property_non_collapse(pair_config(0.1, seed=12), 2000, n_samples=10.5)
+
+
 def test_properties_fail_when_doctored():
     cfg = pair_config(0.1, seed=12)
     assert not property_non_extinction(cfg, 20000, window=2).passed
@@ -744,6 +823,10 @@ def test_theorem_suite_runs_the_decaying_trajectory_once(monkeypatch):
                  id="three-categories"),
     pytest.param(0.1, 2, 2000, 0, 100, "window must be positive", id="zero-window"),
     pytest.param(0.1, 2, 2000, math.nan, 100, "window must be positive", id="nan-window"),
+    pytest.param(0.1, 2, 2000, math.inf, 100, "window must be a whole number",
+                 id="inf-window"),
+    pytest.param(0.1, 2, 2000, 2.5, 100, "window must be a whole number",
+                 id="fractional-window"),
     pytest.param(0.1, 2, 2000, 500, 0, "stride must be a positive integer",
                  id="zero-stride"),
     pytest.param(0.1, 2, 7, 500, 100, "n_steps too small for a late-window estimate",
