@@ -51,6 +51,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,6 +71,8 @@ from .rng import GEOMETRY_STREAM, substream
 # draws per block; the engines hold each block as Python floats
 _CHUNK = 1 << 12
 _ENSEMBLE_CHUNK = 512
+# replicas whose draws the lockstep engine stores into its buffer at once
+_DRAW_TILE = 128
 
 MOVEMENT_EPSILON = 1e-4
 _FRACTION_FLOOR = 0.5
@@ -179,7 +182,10 @@ def _step_loop(k, dim, record_winners, every_step, with_cloud, transform, decays
 
 
 def _whole(value, message) -> int:
-    # int() alone would truncate 2.7 to 2 and raise its own errors on NaN and inf
+    # int() alone would truncate 2.7 to 2 and raise its own errors on NaN and
+    # inf; integers pass as they are, since float() overflows past 1e308
+    if isinstance(value, numbers.Integral):
+        return int(value)
     if not float(value).is_integer():
         raise ParameterError(message)
     return int(value)
@@ -306,13 +312,21 @@ def equilibrium_steps(decay_rate: float) -> int:
     return math.ceil(400.0 / decay_rate)
 
 
+def _master_seed(master_seed) -> int:
+    # ModelConfig's rule; SeedSequence itself takes any nonnegative integer
+    seed = _whole(master_seed, "master_seed must be a whole number")
+    if not 0 <= seed < 2**64:
+        raise ParameterError("master_seed must fit in 64 bits")
+    return seed
+
+
 def replica_stream(master_seed, index, r):
     """The generator driving replica ``r`` of ensemble grid point ``index``."""
     return substream(master_seed, index, r)
 
 
 def _lockstep_states(means, weights, decay_rate, domain, gens, targets):
-    """States of R independent uniform-draw runs advanced in lockstep.
+    """States of R >= 1 independent uniform-draw runs advanced in lockstep.
 
     Run r starts from means[r] (k, dim) and weights[r] (k,), or from the
     shared means and weights if they have no replica axis, and draws from
@@ -326,6 +340,15 @@ def _lockstep_states(means, weights, decay_rate, domain, gens, targets):
     winner's coordinates and weight gathered through flat indices, updated
     and scattered back.  Every buffer is allocated once; the draws of each
     chunk are mapped onto the box in place.
+
+    The draws come in chunks of steps, stored step-major in a (chunk, dim,
+    R) buffer where one replica's draws lie R * 8 bytes apart.  So that no
+    generator writes there value by value, _DRAW_TILE replicas at a time
+    each fill a contiguous row of a (tile, chunk, dim) tile, which is
+    stored with one transposing assignment.  Every replica still draws its
+    values in order, so no state depends on the tile.  The chunk is sized
+    so that the buffer and the tile together hold no more than a
+    _ENSEMBLE_CHUNK-step buffer would.
     """
     R = len(gens)
     k, dim = np.shape(means)[-2:]
@@ -366,13 +389,21 @@ def _lockstep_states(means, weights, decay_rate, domain, gens, targets):
     if 0 in want:
         out[0] = (M.T.copy(), W.T.copy())
     n_max = max(want, default=0)
-    buf = np.empty((min(_ENSEMBLE_CHUNK, n_max), dim, R))
+    tile = min(_DRAW_TILE, R)
+    chunk = min(_ENSEMBLE_CHUNK * R // (R + tile), n_max)
+    buf = np.empty((chunk, dim, R))
+    rows = np.empty((tile, chunk, dim))
     zs = buf[:, :, None, :]
     t = 0
     while t < n_max:
-        m = min(_ENSEMBLE_CHUNK, n_max - t)
-        for r, g in enumerate(gens):
-            buf[:m, :, r] = g.random((m, dim))
+        m = min(chunk, n_max - t)
+        tops = list(rows[:, :m])
+        for r0 in range(0, R, tile):
+            block = gens[r0:r0 + tile]
+            for row, g in zip(tops, block):
+                g.random(out=row)
+            n = len(block)
+            buf[:m, :, r0:r0 + n] = rows[:n, :m].transpose(1, 2, 0)
         if not unit:
             for c in range(dim):
                 u = buf[:m, c]
@@ -438,6 +469,9 @@ def boundary_samples(decay_rate: float, n_targets, replicas: int,
     targets = sorted({_whole(n, "step targets must be whole numbers") for n in n_targets})
     if targets and targets[0] < 0:
         raise ParameterError("step targets must be nonnegative")
+    master_seed = _master_seed(master_seed)
+    if _whole(index, "index must be a whole number") < 0:
+        raise ParameterError("index must be nonnegative")
     half_w = limit_total_weight(decay_rate) / 2.0
     gens = [replica_stream(master_seed, index, r) for r in range(replicas)]
     states = _lockstep_states(np.array([[0.25], [0.75]]), np.array([half_w, half_w]),
@@ -492,6 +526,7 @@ def boundary_variance_curve(lambda_grid, n_list, replicas, master_seed):
         horizons.append(n)
     if not horizons:
         raise ParameterError("n_list must be non-empty")
+    master_seed = _master_seed(master_seed)
 
     estimates = []
     for i, lam in enumerate(grid):

@@ -303,13 +303,17 @@ def test_cloud_run_matches_step_reference():
 
 class _FixedDraws:
     """Stands in for a generator whose uniform draws are given; hands them
-    out in order, in whatever shape each call asks for."""
+    out in order, in whatever shape each call asks for, or into ``out`` in
+    place as Generator.random(out=...) fills it."""
 
     def __init__(self, u):
         self.u = np.ravel(u)
         self.used = 0
 
-    def random(self, shape):
+    def random(self, shape=None, out=None):
+        if out is not None:
+            out[...] = self.random(out.shape)
+            return out
         n = math.prod(np.atleast_1d(shape))
         assert self.used + n <= self.u.size
         self.used += n
@@ -457,7 +461,8 @@ def test_boundary_samples_step_zero_is_half():
 def test_boundary_samples_row_matches_single_run(decay_rate, index):
     # replica r of grid point i draws from substream(seed, i, r), so every
     # row of the vectorized ensemble is recoverable with run_trajectory; the
-    # targets straddle the ensemble's 512-step chunk edges
+    # targets straddle the ensemble's chunk edges (every 256 steps at 8
+    # replicas)
     targets = [0, 1, 50, 511, 512, 513, 1200]
     W = limit_total_weight(decay_rate)
     out = boundary_samples(decay_rate, targets, replicas=8, master_seed=77,
@@ -524,6 +529,48 @@ def test_ensemble_counts_must_be_whole_numbers(call):
         call()
 
 
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: boundary_samples(0.1, [2], 2, -1), "64 bits", id="samples-negative-seed"),
+    pytest.param(lambda: boundary_samples(0.1, [2], 2, 2**64), "64 bits", id="samples-seed-2**64"),
+    pytest.param(lambda: boundary_samples(0.1, [2], 2, 10**400), "64 bits",
+                 id="samples-seed-past-float-range"),
+    pytest.param(lambda: boundary_samples(0.1, [2], 2, 1.5), "whole number",
+                 id="samples-fractional-seed"),
+    pytest.param(lambda: boundary_samples(0.1, [2], 2, math.nan), "whole number",
+                 id="samples-nan-seed"),
+    pytest.param(lambda: boundary_samples(0.1, [2], 2, 1, index=-1), "nonnegative",
+                 id="samples-negative-index"),
+    pytest.param(lambda: boundary_samples(0.1, [2], 2, 1, index=0.5), "whole number",
+                 id="samples-fractional-index"),
+    pytest.param(lambda: boundary_samples(0.1, [2], 2, 1, index=math.inf), "whole number",
+                 id="samples-inf-index"),
+    pytest.param(lambda: boundary_variance_curve([0.1], [2], 2, -1), "64 bits",
+                 id="curve-negative-seed"),
+    pytest.param(lambda: boundary_variance_curve([0.1], [2], 2, 2**64), "64 bits",
+                 id="curve-seed-2**64"),
+    pytest.param(lambda: boundary_variance_curve([0.1], [2], 2, math.inf), "whole number",
+                 id="curve-inf-seed"),
+])
+def test_ensemble_stream_keys_are_checked_first(call, match, monkeypatch):
+    # SeedSequence raised numpy's own ValueError on a negative seed or index
+    # and keyed streams by seeds past 64 bits, which ModelConfig refuses
+    def no_stream(*key):
+        raise AssertionError(f"stream {key} made before the check")
+    monkeypatch.setattr(harness, "replica_stream", no_stream)
+    with pytest.raises(ParameterError, match=match):
+        call()
+
+
+def test_ensemble_stream_keys_accept_the_full_range():
+    top = 2**64 - 1
+    want = boundary_samples(0.1, [3], 2, top, index=2)
+    got = boundary_samples(0.1, [3], 2, np.uint64(top), index=np.int64(2))
+    assert np.array_equal(got[3], want[3])
+    rec = run_trajectory(pair_config(0.1, seed=0, weights=[limit_total_weight(0.1) / 2] * 2),
+                         3, stride=3, rng=replica_stream(top, 2, 1))
+    assert want[3][1] == rec.boundaries[-1]
+
+
 def test_ensemble_counts_accept_numpy_integers():
     want = boundary_samples(0.1, [3], 4, 1)
     got = boundary_samples(0.1, [np.int64(3)], np.int32(4), 1)
@@ -542,9 +589,10 @@ _BOXES = {"unit": (0.0, 1.0), "offset": (-2.0, 0.5)}
 def test_lockstep_rows_replay_single_runs(k, dim, decay_rate, box):
     # every row of the ensemble engine, each from its own initial state and
     # stream, equals run_trajectory on that stream bit for bit, means and
-    # weights.  The targets straddle the 512-step chunk edges and end in a
-    # partial chunk; dim 8 adds the coordinates past numpy's pairwise sum,
-    # and decay 1000 (a decay factor of 0.0) leaves weights of exactly 0.0
+    # weights.  The targets straddle a chunk edge (every 256 steps at 3
+    # replicas) and end in a partial chunk; dim 8 adds the coordinates past
+    # numpy's pairwise sum, and decay 1000 (a decay factor of 0.0) leaves
+    # weights of exactly 0.0
     lower, span = _BOXES[box]
     domain = Domain(np.full(dim, lower), np.full(dim, lower + span))
     targets = [0, 1, 511, 512, 513, 1030]
@@ -572,6 +620,33 @@ def test_lockstep_rows_replay_single_runs(k, dim, decay_rate, box):
             assert weights[r].tobytes() == rec.weights[n].tobytes()
     if decay_rate == 1000.0 and k > 1:
         assert np.any(states[targets[-1]][1] == 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("R", [1, 127, 128, 129, 259])
+def test_lockstep_rows_replay_at_tile_and_chunk_edges(R, dim):
+    # the engine draws for tiles of 128 replicas: R = 1 and 127 make one
+    # partial tile, 128 one full tile, 129 a full tile and one replica, 259
+    # two full tiles and a partial one.  Its chunk shrinks as the tile grows
+    # relative to R, so the targets come from the same formula: they cross
+    # a chunk edge and end in a partial chunk
+    lower, span = _BOXES["offset"]
+    domain = Domain(np.full(dim, lower), np.full(dim, lower + span))
+    chunk = harness._ENSEMBLE_CHUNK * R // (R + min(harness._DRAW_TILE, R))
+    targets = [1, chunk - 1, chunk, chunk + 1, 2 * chunk + 7]
+    init = substream(R, dim)
+    cfg = ModelConfig(k=3, decay_rate=0.1, domain=domain,
+                      dist=DistributionSpec.uniform(),
+                      init_means=domain.uniform_points(init, 3),
+                      init_weights=init.uniform(0.5, 50.0, 3), seed=R)
+    states = harness._lockstep_states(
+        cfg.init_means, cfg.init_weights, cfg.decay_rate, domain,
+        [replica_stream(9, dim, r) for r in range(R)], targets)
+    for r in range(R):
+        rec = run_trajectory(cfg, targets[-1], stride=1, rng=replica_stream(9, dim, r))
+        for n in targets:
+            assert states[n][0][r].tobytes() == rec.means[n].tobytes()
+            assert states[n][1][r].tobytes() == rec.weights[n].tobytes()
 
 
 def test_lockstep_ties_go_to_the_lower_index():
