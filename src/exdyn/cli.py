@@ -9,11 +9,13 @@ output is reproducible from its own header).  Numeric cells use shortest
 round-trip formatting; identical command + config + seed gives
 byte-identical files.
 
-The trajectory writer formats the record in blocks of _BLOCK_ROWS rows, from
-Python floats rather than numpy scalars, and calls repr once per run of
-values in a column that equal the one above bit for bit; the repeats reuse
-its text.  A mean that did not win a step keeps its value, so repeats are
-common: a third of the cells of a 1-D two-category run at stride 1.
+The trajectory writer never holds the run's record: it formats and writes
+the states of each chunk of draws as the engine yields them, so its memory
+does not grow with n_steps.  It calls repr once per run of values in a
+column that equal the one above bit for bit; the repeats reuse its text.  A
+mean that did not win a step keeps its value, so repeats are common: a
+third of the cells of a 1-D two-category run at stride 1.  A chunk's rows
+are joined into one text block by str.join and written with one write.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime error,
 3 property-suite mismatch.
@@ -32,10 +34,11 @@ from .ar1 import boundary_params, variance_of_Y
 from .config import EXPERIMENTS, parse_config
 from .errors import ConfigError, ExdynError
 from .harness import (
+    _run_length,
+    _trajectory_blocks,
     boundary_variance_curve,
     figure1_snapshot,
     property_macqueen_cvt,
-    run_trajectory,
     suite_input_problem,
     theorem_suite,
 )
@@ -44,9 +47,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 EXIT_PROPERTY = 3
-
-# trajectory rows formatted per block; a block's cells are held as text
-_BLOCK_ROWS = 4096
 
 
 class _UsageError(Exception):
@@ -78,53 +78,53 @@ def _float_texts(column) -> list:
     return texts[np.cumsum(new) - 1].tolist()
 
 
-def _write_csv(path: Path, spec, columns, rows):
-    # rows may be a generator: each one is formatted and written as it comes
+def _csv_block(rows) -> str:
+    """The rows, each a sequence of cell texts, as CSV lines of one text."""
+    return "\n".join([*map(",".join, rows), ""])
+
+
+def _write_csv(path: Path, spec, columns, blocks):
+    # blocks may be a generator of _csv_block texts: each is written as it comes
     with path.open("w") as fh:
         fh.writelines(line + "\n" for line in spec.echo_lines())
         fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        for block in blocks:
+            fh.write(block)
     print(f"wrote {path}")
 
 
-def _record_rows(rec, float_columns):
-    """Rows (step, *floats) of a trajectory record, built _BLOCK_ROWS at a
-    time from float_columns(means, weights), the 1-D float columns of a
-    block of the record.  No temporary spans the whole record."""
-    for start in range(0, len(rec.means), _BLOCK_ROWS):
-        means = rec.means[start:start + _BLOCK_ROWS]
-        weights = rec.weights[start:start + _BLOCK_ROWS]
-        # the record's steps: 0, stride, 2 stride, ...
-        steps = range(start * rec.stride, (start + len(means)) * rec.stride,
-                      rec.stride)
-        yield from zip(map(str, steps),
-                       *map(_float_texts, float_columns(means, weights)))
-
-
-def _pair_columns(means, weights):
-    x1 = means[:, 0, 0]
-    x2 = means[:, 1, 0]
-    return x1, x2, (x1 + x2) / 2.0  # TrajectoryRecord.boundaries, bit for bit
-
-
-def _state_columns(means, weights):
-    # x1_1, x1_2, ..., x2_1, ..., then w1, w2, ...: the order of means.ravel()
-    return [*means.reshape(len(means), -1).T, *weights.T]
+def _trajectory_text(blocks, stride, pair):
+    """The rows of trajectory.csv, one text block per block of the engine's
+    states: step, then x1, x2, b for the 1-D pair, or every mean coordinate
+    and then every weight, the order of the states, otherwise."""
+    step = 0
+    for states, _ in blocks:
+        if not len(states):
+            continue
+        if pair:
+            x1, x2 = states[:, 0], states[:, 1]
+            columns = x1, x2, (x1 + x2) / 2.0  # TrajectoryRecord.boundaries, bit for bit
+        else:
+            columns = states.T
+        steps = map(str, range(step, step + len(states) * stride, stride))
+        step += len(states) * stride
+        yield _csv_block(zip(steps, *map(_float_texts, columns)))
 
 
 def _run_trajectory(spec, outdir):
-    rec = run_trajectory(spec.model, spec.n_steps, spec.stride)
+    n_steps, stride = _run_length(spec.n_steps, spec.stride)
     k, dim = spec.model.k, spec.model.domain.dim
-    if k == 2 and dim == 1:
+    pair = k == 2 and dim == 1
+    if pair:
         columns = ["n", "x1", "x2", "b"]
-        rows = _record_rows(rec, _pair_columns)
     else:
         columns = ["n"]
         for j in range(k):
             columns.extend(f"x{j + 1}_{d + 1}" for d in range(dim))
         columns.extend(f"w{j + 1}" for j in range(k))
-        rows = _record_rows(rec, _state_columns)
-    _write_csv(outdir / "trajectory.csv", spec, columns, rows)
+    blocks = _trajectory_blocks(spec.model, n_steps, stride)
+    _write_csv(outdir / "trajectory.csv", spec, columns,
+               _trajectory_text(blocks, stride, pair))
     return EXIT_OK, None
 
 
@@ -141,7 +141,7 @@ def _run_variance_curve(spec, outdir):
             _fmt(est.var_stderr),
             _fmt(variance_of_Y(est.decay_rate, est.n)),
         ])
-    _write_csv(outdir / "variance_curve.csv", spec, columns, rows)
+    _write_csv(outdir / "variance_curve.csv", spec, columns, [_csv_block(rows)])
     return EXIT_OK, None
 
 
@@ -152,15 +152,15 @@ def _run_snapshot(spec, outdir):
     rows = ([_fmt(p[0]), _fmt(p[1]), _fmt(w), str(int(c))]
             for p, w, c in zip(snap.positions, snap.weights, snap.categories))
     _write_csv(outdir / "exemplars.csv", spec,
-               ["x", "y", "weight", "category"], rows)
+               ["x", "y", "weight", "category"], [_csv_block(rows)])
     rows = ([str(j), _fmt(m[0]), _fmt(m[1]), _fmt(w)]
             for j, (m, w) in enumerate(zip(snap.means, snap.category_weights)))
     _write_csv(outdir / "means.csv", spec,
-               ["category", "x", "y", "weight"], rows)
+               ["category", "x", "y", "weight"], [_csv_block(rows)])
     rows = ([_fmt(s[0, 0]), _fmt(s[0, 1]), _fmt(s[1, 0]), _fmt(s[1, 1])]
             for s in snap.boundary_segments)
     _write_csv(outdir / "boundaries.csv", spec,
-               ["x0", "y0", "x1", "y1"], rows)
+               ["x0", "y0", "x1", "y1"], [_csv_block(rows)])
     return EXIT_OK, None
 
 
@@ -182,7 +182,7 @@ def _run_properties(spec, outdir):
             rows.append(base + ["stat", name, _fmt(value)])
         for name, value in report.thresholds.items():
             rows.append(base + ["threshold", name, _fmt(value)])
-    _write_csv(outdir / "properties.csv", spec, columns, rows)
+    _write_csv(outdir / "properties.csv", spec, columns, [_csv_block(rows)])
     mismatches = [
         f"{report.name} {'failed' if expected else 'unexpectedly passed'}"
         for report, expected in results if report.passed != expected
@@ -199,7 +199,7 @@ def _run_ar1_table(spec, outdir):
         K, sigma = boundary_params(lam)
         rows.append([_fmt(lam), _fmt(K), _fmt(sigma),
                      _fmt(variance_of_Y(lam, math.inf))])
-    _write_csv(outdir / "ar1_table.csv", spec, columns, rows)
+    _write_csv(outdir / "ar1_table.csv", spec, columns, [_csv_block(rows)])
     return EXIT_OK, None
 
 

@@ -28,11 +28,13 @@ exact ties, every recorded state equals iterating model.step on the same
 draws.  The replay tests prove it for the lockstep engine: every row of an
 ensemble equals run_trajectory on that row's stream.
 
-run_trajectory draws in chunks of _CHUNK points and hands each chunk to the
-loop as Python floats.  The loop collects the states it records, and the
-winners, in Python lists, and each chunk's are stored into the record with
-one slice assignment per array, so recording every step costs list appends
-rather than numpy item stores.
+_trajectory_blocks draws in chunks of _CHUNK points and hands each chunk to
+the loop as Python floats.  The loop collects the states it records, and
+the winners, in Python lists, so recording every step costs list appends
+rather than numpy item stores; each chunk's states are yielded as one
+array.  run_trajectory stores them into the record with one slice
+assignment per array, and the trajectory CSV writer formats them as they
+come, so it never holds the record.
 
 A run can be continued from a record's last state on the generator that
 made it, and the continued states equal those of one uninterrupted run.
@@ -51,7 +53,6 @@ from __future__ import annotations
 import copy
 import functools
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,6 +64,8 @@ from .model import (
     Domain,
     ExemplarCloud,
     ModelConfig,
+    _seed,
+    _whole,
     limit_total_weight,
     sample,
 )
@@ -181,16 +184,6 @@ def _step_loop(k, dim, record_winners, every_step, with_cloud, transform, decays
     return namespace["loop"]
 
 
-def _whole(value, message) -> int:
-    # int() alone would truncate 2.7 to 2 and raise its own errors on NaN and
-    # inf; integers pass as they are, since float() overflows past 1e308
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    if not float(value).is_integer():
-        raise ParameterError(message)
-    return int(value)
-
-
 def _run_length(n_steps, stride):
     # run_trajectory's argument checks, in its order
     n_steps = _whole(n_steps, "n_steps must be a whole number")
@@ -200,6 +193,47 @@ def _run_length(n_steps, stride):
     if stride < 1:
         raise ParameterError("stride must be a positive integer")
     return n_steps, stride
+
+
+def _trajectory_blocks(config: ModelConfig, n_steps: int, stride: int, rng=None,
+                       record_winners: bool = False, cloud: ExemplarCloud = None):
+    """Run the dynamics, yielding (states, winners) once per chunk of draws.
+
+    n_steps and stride are as _run_length returns them.  states is a (rows,
+    k dim + k) float array of the states recorded in the chunk, each row
+    the flat state (*means.ravel(), *weights); winners is the chunk's list
+    of winning categories, empty unless record_winners.  The first yield is
+    the initial state with no winners.  A chunk records no state when the
+    stride is longer than the chunk and no multiple of it falls there.
+    rng and cloud are run_trajectory's.
+    """
+    if rng is None:
+        rng = substream(config.seed)
+    k, dim = config.init_means.shape  # plain ints, as they go into source
+    uniform = config.dist.kind == "uniform"
+    box = config.domain.lower.tolist() + (config.domain.upper - config.domain.lower).tolist()
+    # on the unit box lo + span u = 0.0 + 1.0 u = u, bit for bit
+    transform = uniform and box != [0.0] * dim + [1.0] * dim
+    decay = math.exp(-config.decay_rate)
+    loop = _step_loop(k, dim, record_winners, stride == 1, cloud is not None, transform,
+                      decay != 1.0)
+    cloud_add = None if cloud is None else cloud.add
+    state = (*config.init_means.ravel().tolist(), *config.init_weights.tolist())
+    yield np.array([state]), []
+
+    t = 0
+    while t < n_steps:
+        m = min(_CHUNK, n_steps - t)
+        if uniform:
+            zs = rng.random((m, dim))
+        else:
+            zs = np.array([sample(config.dist, config.domain, rng) for _ in range(m)])
+        recs, wins = [], []
+        # a 1-D loop takes each draw as a float
+        state = loop((zs[:, 0] if dim == 1 else zs).tolist(), t, stride, decay, box,
+                     state, recs, wins, cloud_add)
+        yield np.fromiter(recs, float, len(recs)).reshape(-1, len(state)), wins
+        t += m
 
 
 def run_trajectory(config: ModelConfig, n_steps: int, stride: int = 1,
@@ -217,48 +251,25 @@ def run_trajectory(config: ModelConfig, n_steps: int, stride: int = 1,
     continued partway through.
     """
     n_steps, stride = _run_length(n_steps, stride)
-    if rng is None:
-        rng = substream(config.seed)
-    k, dim = config.init_means.shape  # plain ints, as they go into source
-    uniform = config.dist.kind == "uniform"
-    box = config.domain.lower.tolist() + (config.domain.upper - config.domain.lower).tolist()
-    # on the unit box lo + span u = 0.0 + 1.0 u = u, bit for bit
-    transform = uniform and box != [0.0] * dim + [1.0] * dim
-    decay = math.exp(-config.decay_rate)
-    loop = _step_loop(k, dim, record_winners, stride == 1, cloud is not None, transform,
-                      decay != 1.0)
-    cloud_add = None if cloud is None else cloud.add
-
+    k, dim = config.init_means.shape
     n_rec = n_steps // stride + 1
     rec_means = np.empty((n_rec, k, dim))
     rec_weights = np.empty((n_rec, k))
-    rec_means[0] = config.init_means
-    rec_weights[0] = config.init_weights
     # a winner is a category index below k: one byte per step up to k = 256
     winners = (np.empty(n_steps, dtype=np.min_scalar_type(k - 1))
                if record_winners else None)
-    state = (*config.init_means.ravel().tolist(), *config.init_weights.tolist())
 
-    t = 0
-    r = 1  # where the next recorded state goes
-    while t < n_steps:
-        m = min(_CHUNK, n_steps - t)
-        if uniform:
-            zs = rng.random((m, dim))
-        else:
-            zs = np.array([sample(config.dist, config.domain, rng) for _ in range(m)])
-        recs, wins = [], []
-        # a 1-D loop takes each draw as a float
-        state = loop((zs[:, 0] if dim == 1 else zs).tolist(), t, stride, decay, box,
-                     state, recs, wins, cloud_add)
-        block = np.fromiter(recs, float, len(recs)).reshape(-1, len(state))
+    r = t = 0  # where the next recorded state and winner go
+    for block, wins in _trajectory_blocks(config, n_steps, stride, rng, record_winners,
+                                          cloud):
         rec_means.reshape(n_rec, -1)[r:r + len(block)] = block[:, :k * dim]
         rec_weights[r:r + len(block)] = block[:, k * dim:]
         r += len(block)
         if record_winners:
             # bytes() packs small ints about 3x as fast as numpy converts a list
-            winners[t:t + m] = np.frombuffer(bytes(wins), np.uint8) if k <= 256 else wins
-        t += m
+            winners[t:t + len(wins)] = (np.frombuffer(bytes(wins), np.uint8) if k <= 256
+                                        else wins)
+            t += len(wins)
 
     return TrajectoryRecord(config=config, stride=stride, means=rec_means,
                             weights=rec_weights, winners=winners)
@@ -310,14 +321,6 @@ def equilibrium_steps(decay_rate: float) -> int:
     if not 0 < decay_rate < math.inf:
         raise ParameterError("equilibrium horizon requires a finite decay_rate > 0")
     return math.ceil(400.0 / decay_rate)
-
-
-def _master_seed(master_seed) -> int:
-    # ModelConfig's rule; SeedSequence itself takes any nonnegative integer
-    seed = _whole(master_seed, "master_seed must be a whole number")
-    if not 0 <= seed < 2**64:
-        raise ParameterError("master_seed must fit in 64 bits")
-    return seed
 
 
 def replica_stream(master_seed, index, r):
@@ -469,7 +472,7 @@ def boundary_samples(decay_rate: float, n_targets, replicas: int,
     targets = sorted({_whole(n, "step targets must be whole numbers") for n in n_targets})
     if targets and targets[0] < 0:
         raise ParameterError("step targets must be nonnegative")
-    master_seed = _master_seed(master_seed)
+    master_seed = _seed(master_seed, "master_seed")
     if _whole(index, "index must be a whole number") < 0:
         raise ParameterError("index must be nonnegative")
     half_w = limit_total_weight(decay_rate) / 2.0
@@ -515,6 +518,8 @@ def boundary_variance_curve(lambda_grid, n_list, replicas, master_seed):
     grid = [float(lam) for lam in lambda_grid]
     if not grid:
         raise ParameterError("lambda_grid must be non-empty")
+    if not all(0 < lam < math.inf for lam in grid):
+        raise ParameterError("boundary ensembles require a finite decay_rate > 0")
     if _whole(replicas, "replica count must be a whole number") < 2:
         raise ParameterError("replica count must be at least 2")
     horizons = []
@@ -526,7 +531,7 @@ def boundary_variance_curve(lambda_grid, n_list, replicas, master_seed):
         horizons.append(n)
     if not horizons:
         raise ParameterError("n_list must be non-empty")
-    master_seed = _master_seed(master_seed)
+    master_seed = _seed(master_seed, "master_seed")
 
     estimates = []
     for i, lam in enumerate(grid):

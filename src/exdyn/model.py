@@ -14,6 +14,7 @@ With decay_rate = 0 this is MacQueen's online k-means running mean.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,25 @@ def _as_point(z, dim):
     if z.shape != (dim,):
         raise ParameterError(f"point has shape {z.shape}, expected ({dim},)")
     return z
+
+
+def _whole(value, message) -> int:
+    # int() alone would truncate 2.7 to 2 and raise its own errors on NaN and
+    # inf; integers pass as they are, since float() overflows past 1e308
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if not float(value).is_integer():
+        raise ParameterError(message)
+    return int(value)
+
+
+def _seed(value, name) -> int:
+    # a seed keys SeedSequence, which takes any nonnegative integer; every
+    # seed of the package is a whole number that fits in 64 bits
+    seed = _whole(value, f"{name} must be a whole number")
+    if not 0 <= seed < 2**64:
+        raise ParameterError(f"{name} must fit in 64 bits")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -231,8 +251,7 @@ class ModelConfig:
             raise DomainError(f"init_means[{outside[0]}] lies outside the domain")
         if pair is not None:
             raise ParameterError(f"init_means {pair[0]} and {pair[1]} coincide")
-        if not (0 <= int(self.seed) < 2**64):
-            raise ParameterError("seed must fit in 64 bits")
+        _seed(self.seed, "seed")
 
 
 def _coincident_pair(points):

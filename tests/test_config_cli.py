@@ -1,5 +1,6 @@
 import math
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,8 +312,9 @@ def test_cli_trajectory_writes_reproducible_csv(tmp_path, capsys):
     assert "n,x1,x2,b" in head
 
 
-# more rows than one formatting block, so a block edge is crossed
-_PAST_BLOCK = cli._BLOCK_ROWS + 3
+# more rows than the engine records in one chunk, so a chunk edge is crossed
+_CHUNK = exdyn.harness._CHUNK
+_PAST_BLOCK = _CHUNK + 3
 _THREE_IN_2D = """\
 experiment = trajectory
 seed = 12
@@ -329,11 +331,20 @@ init_weights = 1 2 3
                  id="fig3-left"),
     pytest.param(_THREE_IN_2D + f"n_steps = {3 * _PAST_BLOCK}\nstride = 3\n",
                  id="k3-2d"),
+    pytest.param("preset = fig3-left\nn_steps = 0\n", id="no-steps"),
+    pytest.param(f"preset = fig3-left\nn_steps = {2 * _CHUNK}\nstride = 1\n",
+                 id="whole-chunks"),
+    pytest.param(f"preset = fig3-left\nn_steps = {4 * _CHUNK}\nstride = {_CHUNK + 5}\n",
+                 id="chunks-without-rows"),
+    pytest.param(f"preset = fig3-left\nn_steps = {2 * _CHUNK + 5}\nstride = 3\n",
+                 id="stride-3-pair"),
 ])
 def test_trajectory_csv_cells_format_the_record(tmp_path, config):
     # every cell is str(step) or repr(float(x)) of the record's value, with
     # x1, x2, b for the 1-D pair and every mean coordinate, then every
-    # weight, otherwise
+    # weight, otherwise.  The writer formats the engine's states chunk by
+    # chunk: a stride past the chunk leaves chunks without rows, and
+    # stride 3 puts the rows at a different offset in each chunk
     spec = parse_config(config, default_experiment="trajectory")
     assert run("trajectory", spec, tmp_path) == (0, None)
     rec = run_trajectory(spec.model, spec.n_steps, spec.stride)
@@ -347,8 +358,29 @@ def test_trajectory_csv_cells_format_the_record(tmp_path, config):
             for n, row in zip(rec.steps, values)]
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     data = [line for line in lines if not line.startswith("#")][1:]
-    assert len(data) > cli._BLOCK_ROWS
+    assert len(data) == spec.n_steps // spec.stride + 1
     assert data == want
+
+
+def _traced_peak(spec, outdir):
+    tracemalloc.start()
+    try:
+        assert run("trajectory", spec, outdir) == (0, None)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trajectory_csv_memory_does_not_grow_with_n_steps(tmp_path, capsys):
+    # the writer holds one chunk of states and its text at a time; a record
+    # of the run would take 32 B per row, 4.7 MB more at 40 chunks than at 4
+    def spec(n_steps):
+        return parse_config(f"preset = fig3-left\nn_steps = {n_steps}\nstride = 1\n",
+                            default_experiment="trajectory")
+    run("trajectory", spec(10), tmp_path)  # builds the step loop outside the trace
+    short = _traced_peak(spec(4 * _CHUNK), tmp_path)
+    long = _traced_peak(spec(40 * _CHUNK), tmp_path)
+    assert long - short < 1 << 20, (short, long)
 
 
 def test_float_texts_tell_signed_zeros_apart():

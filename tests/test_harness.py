@@ -550,10 +550,16 @@ def test_ensemble_counts_must_be_whole_numbers(call):
                  id="curve-seed-2**64"),
     pytest.param(lambda: boundary_variance_curve([0.1], [2], 2, math.inf), "whole number",
                  id="curve-inf-seed"),
+    pytest.param(lambda: boundary_variance_curve([0.05, math.nan], [math.inf], 3000, 1),
+                 "finite decay_rate > 0", id="curve-nan-second-rate"),
+    pytest.param(lambda: boundary_variance_curve([0.05, 0.1, math.inf], [10], 3000, 1),
+                 "finite decay_rate > 0", id="curve-inf-third-rate"),
 ])
 def test_ensemble_stream_keys_are_checked_first(call, match, monkeypatch):
     # SeedSequence raised numpy's own ValueError on a negative seed or index
-    # and keyed streams by seeds past 64 bits, which ModelConfig refuses
+    # and keyed streams by seeds past 64 bits, which ModelConfig refuses.
+    # The curve checked each decay rate only when its grid point came up,
+    # after the ensembles of the points before it
     def no_stream(*key):
         raise AssertionError(f"stream {key} made before the check")
     monkeypatch.setattr(harness, "replica_stream", no_stream)

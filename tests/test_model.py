@@ -307,6 +307,24 @@ def test_model_config_validation():
         build(seed=2**64)
 
 
+@pytest.mark.parametrize("seed,match", [
+    (1.5, "whole number"),
+    (-0.5, "whole number"),
+    (math.nan, "whole number"),
+    (math.inf, "whole number"),
+    (-math.inf, "whole number"),
+    (-1, "64 bits"),
+    (2**64, "64 bits"),
+])
+def test_model_config_seed_is_a_whole_64_bit_number(seed, match):
+    # int(seed) truncated 1.5 and -0.5 to seeds that ran, and raised
+    # ValueError on NaN
+    with pytest.raises(ParameterError, match=f"seed must .*{match}"):
+        ModelConfig(k=2, decay_rate=0.1, domain=UNIT, dist=DistributionSpec.uniform(),
+                    init_means=np.array([[0.25], [0.75]]),
+                    init_weights=np.array([1.0, 1.0]), seed=seed)
+
+
 def _loop_config_error(means, domain):
     # the per-mean loop ModelConfig ran before its distinct-means check
     # sorted the rows, kept as the reference for which error comes first
