@@ -371,7 +371,7 @@ def _traced_peak(spec, outdir):
         tracemalloc.stop()
 
 
-def test_trajectory_csv_memory_does_not_grow_with_n_steps(tmp_path, capsys):
+def test_trajectory_csv_memory_does_not_grow_with_n_steps(tmp_path):
     # the writer holds one chunk of states and its text at a time; a record
     # of the run would take 32 B per row, 4.7 MB more at 40 chunks than at 4
     def spec(n_steps):
