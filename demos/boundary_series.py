@@ -6,7 +6,6 @@ an AR(1) process with lag-1 coefficient K and innovation scale sigma.
 import numpy as np
 
 from exdyn import (
-    DistributionSpec,
     Domain,
     ModelConfig,
     boundary_params,
@@ -24,7 +23,6 @@ def main():
     config = ModelConfig(
         k=2, decay_rate=DECAY,
         domain=Domain(np.array([0.0]), np.array([1.0])),
-        dist=DistributionSpec.uniform(),
         init_means=np.array([[0.25], [0.75]]),
         init_weights=np.array([half_w, half_w]),
         seed=20,

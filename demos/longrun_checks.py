@@ -8,7 +8,6 @@ forgetting turned off is expected to fail, and does: that run converges.
 import numpy as np
 
 from exdyn import (
-    DistributionSpec,
     Domain,
     ModelConfig,
     theorem_suite,
@@ -19,7 +18,6 @@ def main():
     config = ModelConfig(
         k=2, decay_rate=0.05,
         domain=Domain(np.array([0.0]), np.array([1.0])),
-        dist=DistributionSpec.uniform(),
         init_means=np.array([[0.25], [0.75]]),
         init_weights=np.array([1.0, 1.0]),
         seed=51,

@@ -30,7 +30,6 @@ from .errors import (
     ExdynError,
     GeometryError,
     ParameterError,
-    SamplingError,
 )
 from .geometry import (
     CellStats,
@@ -58,7 +57,6 @@ from .harness import (
     theorem_suite,
 )
 from .model import (
-    DistributionSpec,
     Domain,
     ExemplarCloud,
     ModelConfig,
@@ -82,7 +80,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CellStats",
     "ConfigError",
-    "DistributionSpec",
     "Domain",
     "DomainError",
     "EnsembleEstimate",
@@ -94,7 +91,6 @@ __all__ = [
     "ParameterError",
     "PropertyReport",
     "RunSpecFile",
-    "SamplingError",
     "SnapshotResult",
     "SystemState",
     "TrajectoryRecord",

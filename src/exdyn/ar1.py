@@ -9,7 +9,8 @@ AR(1) recursion for the boundary deviation Y = b - 1/2:
     K     = (3 - e) / (2 (2 - e))
     sigma = (1 - e) / (4 sqrt(3) (2 - e))
 
-All functions here require decay_rate > 0 and are only valid for the
+All functions here require decay_rate > 0, large enough that
+exp(-decay_rate) < 1 in floating point, and are only valid for the
 two-category uniform system on [0, 1]; everything is pure and cheap except
 simulate_ar1, a plain-Python loop that is linear in the number of steps.
 """
@@ -21,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .model import Domain, ModelConfig, _advance, limit_total_weight
+from .model import Domain, ModelConfig, _advance, _whole, limit_total_weight
 
 INFINITE = math.inf
 _FIXED_POINT_TOL = 1e-10
@@ -31,14 +32,17 @@ _NORMAL_BLOCK = 1 << 16
 def _is_unit_pair(config: ModelConfig) -> bool:
     """True for the two-category uniform system on [0, 1], the only model
     the closed forms describe."""
-    return (config.k == 2
-            and config.domain == Domain(np.array([0.0]), np.array([1.0]))
-            and config.dist.kind == "uniform")
+    return config.k == 2 and config.domain == Domain(np.array([0.0]), np.array([1.0]))
 
 
 def _check_rate(decay_rate):
+    # a rate whose factor exp(-decay_rate) rounds to 1.0 gives K = 1, and
+    # the closed forms divide by 1 - K
     if not decay_rate > 0:
         raise ParameterError("closed forms require decay_rate > 0")
+    if math.exp(-decay_rate) == 1.0:
+        raise ParameterError(f"closed forms require exp(-decay_rate) < 1, "
+                             f"got decay_rate {decay_rate}")
     return float(decay_rate)
 
 
@@ -162,7 +166,7 @@ def variance_of_Y(decay_rate: float, n) -> float:
     K, sigma = boundary_params(decay_rate)
     if n == INFINITE:
         return sigma**2 / (1.0 - K**2)
-    n = int(n)
+    n = _whole(n, "n must be a whole number or math.inf")
     if n < 0:
         raise ParameterError("n must be nonnegative or math.inf")
     return sigma**2 * (1.0 - K ** (2 * n)) / (1.0 - K**2)
@@ -196,7 +200,8 @@ def second_order_variance_of_Y(decay_rate: float) -> float:
 def stationary_autocovariance(decay_rate: float, r: int) -> float:
     """Equilibrium autocovariance sigma^2 K^|r| / (1 - K^2) at lag r."""
     K, sigma = boundary_params(decay_rate)
-    return sigma**2 * K ** abs(int(r)) / (1.0 - K**2)
+    r = _whole(r, "lag r must be a whole number")
+    return sigma**2 * K ** abs(r) / (1.0 - K**2)
 
 
 def simulate_ar1(decay_rate: float, n_steps: int, rng) -> np.ndarray:
@@ -209,6 +214,7 @@ def simulate_ar1(decay_rate: float, n_steps: int, rng) -> np.ndarray:
     result stays bounded.
     """
     K, sigma = boundary_params(decay_rate)
+    n_steps = _whole(n_steps, "n_steps must be a whole number")
     if n_steps < 0:
         raise ParameterError("n_steps must be nonnegative")
     y = np.zeros(n_steps + 1)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, ParameterError
-from .model import DistributionSpec, Domain, ModelConfig
+from .model import Domain, ModelConfig
 from .presets import preset_keys, scatter_for_seed
 
 EXPERIMENTS = ("trajectory", "variance-curve", "snapshot", "properties", "ar1-table")
@@ -192,6 +192,9 @@ def _decay_grid(key, raw, lineno):
         if lam <= 0:
             raise ConfigError(f"lambda_grid entries must be > 0, got {lam}",
                               line=lineno, field=key)
+        if math.exp(-lam) == 1.0:
+            raise ConfigError(f"lambda_grid entry {lam} is too small: "
+                              "exp(-lambda) rounds to 1.0", line=lineno, field=key)
     return tuple(grid), _format_floats(grid)
 
 
@@ -245,6 +248,12 @@ def _counted_floats(seen, key, name, count):
 def _parse_model(seen, seed, experiment):
     k = _int_value("k", *_raw(seen, "k"), minimum=1)
     decay = _float_value("lambda", *_raw(seen, "lambda"), minimum=0.0)
+    # the property checks' variance floor needs a closed form, which a
+    # decay whose factor exp(-lambda) rounds to 1.0 does not have
+    if experiment == "properties" and decay and math.exp(-decay) == 1.0:
+        raise ConfigError(f"lambda {decay} is too small for the property checks: "
+                          "exp(-lambda) rounds to 1.0; use 0 or a larger rate",
+                          line=seen["lambda"][1], field="lambda")
 
     domain_vals = _float_list("domain", *_raw(seen, "domain"))
     if len(domain_vals) % 2:
@@ -268,8 +277,7 @@ def _parse_model(seen, seed, experiment):
     dist, dist_line = _raw(seen, "distribution", "uniform")
     if dist != "uniform":
         raise ConfigError(
-            "only the 'uniform' distribution is supported in config files "
-            "(custom densities are library-level)",
+            f"distribution must be 'uniform', got {dist!r}",
             line=dist_line, field="distribution")
 
     init, init_line = _raw(seen, "init", "explicit")
@@ -312,10 +320,8 @@ def _parse_model(seen, seed, experiment):
         echo["scatter_sigma"] = _format_float(sigma)
 
     try:
-        model = ModelConfig(k=k, decay_rate=decay, domain=domain,
-                            dist=DistributionSpec.uniform(),
-                            init_means=init_means, init_weights=init_weights,
-                            seed=seed)
+        model = ModelConfig(k=k, decay_rate=decay, domain=domain, init_means=init_means,
+                            init_weights=init_weights, seed=seed)
     except (ParameterError, DomainError) as err:
         raise ConfigError(str(err)) from None
 

@@ -17,10 +17,6 @@ class GeometryError(ExdynError):
     """Invalid generator configuration for cell statistics."""
 
 
-class SamplingError(ExdynError):
-    """Rejection sampling failed to produce a point."""
-
-
 class ConfigError(ExdynError):
     """Malformed or invalid run configuration."""
 

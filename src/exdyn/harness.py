@@ -12,29 +12,29 @@ tagged substreams so they never disturb trajectory draws.
 
 Every single run goes through one engine: a step loop over Python floats
 whose source is generated for the run's shape (k, dim, whether it keeps
-winners, records every step, feeds an exemplar cloud, maps draws onto the
-box, and decays the weights at all) and compiled once per shape.  The
-generated loop keeps every mean coordinate and weight in a local variable,
-which runs 3.5 to 8 times as many steps per second as one loop over
-indexed lists for every shape;
-numba and Cython, which could compile such a loop from one source, are
-not dependencies.  Ensembles of uniform-draw
-runs of any shape (k, dim) go through one lockstep engine, which advances
-every replica one step per round of numpy calls over the replica axis.
-Both repeat model._advance's arithmetic operation for operation.  The
-step-reference tests in tests/test_harness.py prove it for single runs:
-across k, dim, decay rates, both distribution kinds, runs with a cloud and
-exact ties, every recorded state equals iterating model.step on the same
-draws.  The replay tests prove it for the lockstep engine: every row of an
-ensemble equals run_trajectory on that row's stream.
+winners, records every step, feeds an exemplar cloud, and decays the
+weights at all) and compiled once per shape.  The generated loop keeps
+every mean coordinate and weight in a local variable, which runs 3.5 to 8
+times as many steps per second as one loop over indexed lists for every
+shape; numba and Cython, which could compile such a loop from one source,
+are not dependencies.  Ensembles of runs of any shape (k, dim) go through
+one lockstep engine, which advances every replica one step per round of
+numpy calls over the replica axis.  Both repeat model._advance's
+arithmetic operation for operation.  The step-reference tests in
+tests/test_harness.py prove it for single runs: across k, dim, boxes,
+decay rates, runs with a cloud and exact ties, every recorded state equals
+iterating model.step on the same draws.  The replay tests prove it for the
+lockstep engine: every row of an ensemble equals run_trajectory on that
+row's stream.
 
-_trajectory_blocks draws in chunks of _CHUNK points and hands each chunk to
-the loop as Python floats.  The loop collects the states it records, and
-the winners, in Python lists, so recording every step costs list appends
-rather than numpy item stores; each chunk's states are yielded as one
-array.  run_trajectory stores them into the record with one slice
-assignment per array, and the trajectory CSV writer formats them as they
-come, so it never holds the record.
+_trajectory_blocks draws in chunks of _CHUNK uniform points, mapped onto
+the box by Domain.uniform_points, and hands each chunk to the loop as
+Python floats.  The loop collects the states it records, and the winners,
+in Python lists, so recording every step costs list appends rather than
+numpy item stores; each chunk's states are yielded as one array.
+run_trajectory stores them into the record with one slice assignment per
+array, and the trajectory CSV writer formats them as they come, so it
+never holds the record.
 
 A run can be continued from a record's last state on the generator that
 made it, and the continued states equal those of one uninterrupted run.
@@ -67,7 +67,6 @@ from .model import (
     _seed,
     _whole,
     limit_total_weight,
-    sample,
 )
 from .rng import GEOMETRY_STREAM, substream
 
@@ -107,18 +106,17 @@ class TrajectoryRecord:
 
 
 @functools.lru_cache(maxsize=64)
-def _step_loop(k, dim, record_winners, every_step, with_cloud, transform, decays):
+def _step_loop(k, dim, record_winners, every_step, with_cloud, decays):
     """Compile the step loop of one run shape from generated source.
 
-    loop(zs, t, stride, decay, box, state, recs, wins, cloud_add) runs the
-    draws zs from ``state``, the flat tuple (*means.ravel(), *weights), t
+    loop(zs, t, stride, decay, state, recs, wins, cloud_add) runs the
+    points zs from ``state``, the flat tuple (*means.ravel(), *weights), t
     steps into the run.  It extends recs by the state at every stride-th
     step, appends each winner to wins and returns the new state.  Mean j's
     coordinate c is the local m{j}_{c} and its weight w{j}.  The arithmetic
-    is _advance's: z_c = lo_c + span_c u_c from box = (*lo, *span) unless
-    the draws are the points already, squared distances summed over the
-    coordinates in order, a running minimum with strict < so ties go to the
-    lower index, every weight decayed, and the winner absorbing the point.
+    is _advance's: squared distances summed over the coordinates in order,
+    a running minimum with strict < so ties go to the lower index, every
+    weight decayed, and the winner absorbing the point.
     Dropping _advance's 0.0 + before the first e * e is exact, as e * e is
     never -0.0, and so is dropping the decay when ``decays`` is false: the
     decay factor is then 1.0 (decay_rate 0, or up to about 5.6e-17), and
@@ -152,7 +150,7 @@ def _step_loop(k, dim, record_winners, every_step, with_cloud, transform, decays
         return [f"if i < {mid}:", *indent(dispatch(lo, mid)),
                 "else:", *indent(dispatch(mid, hi))]
 
-    body = [f"z_{c} = lo_{c} + span_{c} * u_{c}" for c in coords] if transform else []
+    body = []
     if k == 2:
         body += distance(0, "d0") + distance(1, "d1")
     elif k > 2:
@@ -168,17 +166,12 @@ def _step_loop(k, dim, record_winners, every_step, with_cloud, transform, decays
     if not every_step:
         record = ["left -= 1", "if not left:", "    left = stride", *indent(record)]
 
-    lines = ["def loop(zs, t, stride, decay, box, state, recs, wins, cloud_add):",
+    lines = ["def loop(zs, t, stride, decay, state, recs, wins, cloud_add):",
              f"    {state} = state",
              "    add_rec, add_win = recs.extend, wins.append",
-             "    left = stride - t % stride"]
-    draws = z
-    if transform:
-        lines.append("    " + "".join(f"lo_{c}, " for c in coords)
-                     + "".join(f"span_{c}, " for c in coords) + "= box")
-        draws = ", ".join(f"u_{c}" for c in coords)
-    lines += [f"    for {draws} in zs:", *indent(indent(body + record)),
-              f"    return {state}"]
+             "    left = stride - t % stride",
+             f"    for {z} in zs:", *indent(indent(body + record)),
+             f"    return {state}"]
     namespace = {}
     exec("\n".join(lines), namespace)
     return namespace["loop"]
@@ -210,13 +203,8 @@ def _trajectory_blocks(config: ModelConfig, n_steps: int, stride: int, rng=None,
     if rng is None:
         rng = substream(config.seed)
     k, dim = config.init_means.shape  # plain ints, as they go into source
-    uniform = config.dist.kind == "uniform"
-    box = config.domain.lower.tolist() + (config.domain.upper - config.domain.lower).tolist()
-    # on the unit box lo + span u = 0.0 + 1.0 u = u, bit for bit
-    transform = uniform and box != [0.0] * dim + [1.0] * dim
     decay = math.exp(-config.decay_rate)
-    loop = _step_loop(k, dim, record_winners, stride == 1, cloud is not None, transform,
-                      decay != 1.0)
+    loop = _step_loop(k, dim, record_winners, stride == 1, cloud is not None, decay != 1.0)
     cloud_add = None if cloud is None else cloud.add
     state = (*config.init_means.ravel().tolist(), *config.init_weights.tolist())
     yield np.array([state]), []
@@ -224,14 +212,11 @@ def _trajectory_blocks(config: ModelConfig, n_steps: int, stride: int, rng=None,
     t = 0
     while t < n_steps:
         m = min(_CHUNK, n_steps - t)
-        if uniform:
-            zs = rng.random((m, dim))
-        else:
-            zs = np.array([sample(config.dist, config.domain, rng) for _ in range(m)])
+        zs = config.domain.uniform_points(rng, m)
         recs, wins = [], []
         # a 1-D loop takes each draw as a float
-        state = loop((zs[:, 0] if dim == 1 else zs).tolist(), t, stride, decay, box,
-                     state, recs, wins, cloud_add)
+        state = loop((zs[:, 0] if dim == 1 else zs).tolist(), t, stride, decay, state,
+                     recs, wins, cloud_add)
         yield np.fromiter(recs, float, len(recs)).reshape(-1, len(state)), wins
         t += m
 
@@ -320,6 +305,10 @@ def equilibrium_steps(decay_rate: float) -> int:
     """ceil(400 / decay_rate), the horizon treated as 'effectively infinite'."""
     if not 0 < decay_rate < math.inf:
         raise ParameterError("equilibrium horizon requires a finite decay_rate > 0")
+    # such a rate decays nothing, and 400 / decay_rate may overflow to inf
+    if math.exp(-decay_rate) == 1.0:
+        raise ParameterError(f"equilibrium horizon requires exp(-decay_rate) < 1, "
+                             f"got decay_rate {decay_rate}")
     return math.ceil(400.0 / decay_rate)
 
 
@@ -532,10 +521,12 @@ def boundary_variance_curve(lambda_grid, n_list, replicas, master_seed):
     if not horizons:
         raise ParameterError("n_list must be non-empty")
     master_seed = _seed(master_seed, "master_seed")
+    # every grid point's horizons, and so its rate, are checked before any runs
+    effs = [{n: (equilibrium_steps(lam) if n == math.inf else n) for n in horizons}
+            for lam in grid]
 
     estimates = []
-    for i, lam in enumerate(grid):
-        eff = {n: (equilibrium_steps(lam) if n == math.inf else n) for n in horizons}
+    for i, (lam, eff) in enumerate(zip(grid, effs)):
         samples = boundary_samples(lam, set(eff.values()), replicas, master_seed, index=i)
         for n in horizons:
             estimates.append(_estimate(lam, n, eff[n], samples[eff[n]]))
@@ -559,6 +550,7 @@ class PropertyReport:
 def longest_starvation(winners, k: int, burn_in: int = 0) -> int:
     """Longest run of consecutive post-burn-in steps leaving some category
     without a single win.  winners[t] is the winner of update t+1."""
+    k = _whole(k, "k must be a whole number")
     if not burn_in >= 0:
         raise ParameterError("burn_in must be nonnegative")
     burn_in = _whole(burn_in, "burn_in must be a whole number")
@@ -648,6 +640,8 @@ def property_non_collapse(config: ModelConfig, n_steps: int,
     smallest cell volume exceeds the floor (default 0.05 |E| / k) stays
     above one half.  Also tracks the smallest pairwise distance
     between means over the checked states."""
+    if volume_floor is not None and not 0 <= volume_floor < math.inf:
+        raise ParameterError("volume_floor must be finite and nonnegative")
     rec = run_trajectory(config, n_steps, stride=check_stride)
     return _collapse_report(config, n_steps, rec.means, n_samples, volume_floor)
 
@@ -661,11 +655,14 @@ def variance_floor(decay_rate: float) -> float:
 
 
 def _late_window_problem(config, n_steps):
-    # (field, message) if property_non_convergence cannot run; config files
-    # have only the uniform distribution, so with k = 2 the domain is at fault
+    # (field, message) if property_non_convergence cannot run; every model
+    # draws uniformly, so with k = 2 the domain is at fault
     if not _is_unit_pair(config):
         return ("k" if config.k != 2 else "domain",
                 "this check is calibrated to the 2-category uniform model on [0, 1]")
+    if config.decay_rate and math.exp(-config.decay_rate) == 1.0:
+        # variance_floor's closed form needs exp(-decay_rate) < 1
+        return "lambda", "decay_rate must be 0 or have exp(-decay_rate) < 1"
     if n_steps < 8:
         return "n_steps", "n_steps too small for a late-window estimate"
 

@@ -16,12 +16,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, SamplingError
-
-DEFAULT_REJECTION_CAP = 1_000_000
+from .errors import DomainError, ParameterError
 
 
 def _as_points(arr, dim=None):
@@ -115,60 +114,12 @@ class Domain:
         )
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
-    """How incoming points are drawn on the domain.
-
-    kind 'uniform' uses a per-coordinate inverse transform.  kind 'density'
-    wraps a strictly positive user density sampled by rejection against a
-    declared envelope constant (an upper bound on the density's values).
-    """
-
-    kind: str = "uniform"
-    density: object = None
-    envelope: float = None
-    max_attempts: int = DEFAULT_REJECTION_CAP
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "density"):
-            raise ParameterError(f"unknown distribution kind {self.kind!r}")
-        if self.kind == "density":
-            if not callable(self.density):
-                raise ParameterError("density kind requires a callable density")
-            if self.envelope is None or not 0 < self.envelope < math.inf:
-                raise ParameterError("density kind requires a positive finite envelope constant")
-
-    @classmethod
-    def uniform(cls):
-        return cls(kind="uniform")
-
-    @classmethod
-    def from_density(cls, density, envelope, max_attempts=DEFAULT_REJECTION_CAP):
-        return cls(kind="density", density=density, envelope=envelope,
-                   max_attempts=max_attempts)
-
-
-def sample(dist: DistributionSpec, domain: Domain, rng) -> np.ndarray:
-    """One i.i.d. draw from ``dist`` on ``domain``; same seed, same sequence."""
-    if dist.kind == "uniform":
-        u = rng.random(domain.dim)
-        return domain.lower + (domain.upper - domain.lower) * u
-    for _ in range(dist.max_attempts):
-        u = rng.random(domain.dim)
-        z = domain.lower + (domain.upper - domain.lower) * u
-        f = float(dist.density(z))
-        if not f > 0.0:
-            raise SamplingError(f"density evaluated to {f} at {z}; must be positive on the domain")
-        if f > dist.envelope:
-            raise SamplingError(
-                f"density value {f} at {z} exceeds the declared envelope {dist.envelope}"
-            )
-        if rng.random() * dist.envelope < f:
-            return z
-    raise SamplingError(
-        f"rejection sampling produced no point in {dist.max_attempts} attempts "
-        f"(envelope constant {dist.envelope})"
-    )
+def sample(domain: Domain, rng) -> np.ndarray:
+    """One uniform draw on ``domain``: lower + (upper - lower) u for one
+    rng.random(dim).  Batched draws (Domain.uniform_points) consume the
+    stream in the same order and round the same way."""
+    u = rng.random(domain.dim)
+    return domain.lower + (domain.upper - domain.lower) * u
 
 
 @dataclass
@@ -212,7 +163,7 @@ class ModelConfig:
     ----------
     k : number of categories (>= 1)
     decay_rate : per-step exponential forgetting rate (>= 0; 0 = MacQueen)
-    domain, dist : where and how points arrive
+    domain : the box that every incoming point is drawn from, uniformly
     init_means : k pairwise-distinct points inside the domain
     init_weights : k strictly positive reals
     seed : 64-bit master seed; all randomness of a run derives from it
@@ -221,10 +172,13 @@ class ModelConfig:
     k: int
     decay_rate: float
     domain: Domain
-    dist: DistributionSpec
     init_means: np.ndarray
     init_weights: np.ndarray
     seed: int
+
+    # not a field: bench/tracer.py reads config.dist.kind to tell the
+    # uniform 1-D pair from other shapes
+    dist = SimpleNamespace(kind="uniform")
 
     def __post_init__(self):
         object.__setattr__(self, "init_means", _as_points(self.init_means, self.domain.dim))

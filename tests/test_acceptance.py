@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from exdyn import (
-    DistributionSpec,
     Domain,
     ModelConfig,
     boundary_params,
@@ -53,7 +52,6 @@ UNIT = Domain(np.array([0.0]), np.array([1.0]))
 
 def pair_config(decay_rate, seed, means=(0.25, 0.75), weights=(1.0, 1.0)):
     return ModelConfig(k=2, decay_rate=decay_rate, domain=UNIT,
-                       dist=DistributionSpec.uniform(),
                        init_means=np.array([[means[0]], [means[1]]]),
                        init_weights=np.array(weights, dtype=float), seed=seed)
 

@@ -10,15 +10,18 @@ import math
 import numpy as np
 import pytest
 
+from exdyn import harness
 from exdyn import (
-    DistributionSpec,
     Domain,
     ModelConfig,
     ParameterError,
     boundary_params,
+    equilibrium_steps,
     fixed_point,
     linearization,
+    longest_starvation,
     mean_map,
+    property_non_collapse,
     property_non_convergence,
     second_order_variance_of_Y,
     simulate_ar1,
@@ -34,7 +37,6 @@ UNIT = Domain(np.array([0.0]), np.array([1.0]))
 
 def unit_pair(decay_rate, seed=1):
     return ModelConfig(k=2, decay_rate=decay_rate, domain=UNIT,
-                       dist=DistributionSpec.uniform(),
                        init_means=np.array([[0.25], [0.75]]),
                        init_weights=np.array([1.0, 1.0]), seed=seed)
 
@@ -92,14 +94,64 @@ def test_reduction_identities(lam):
 
 
 def test_closed_forms_reject_nonpositive_decay():
+    # and rates whose factor exp(-lam) rounds to 1.0: K = 1 there, and the
+    # closed forms would divide by 1 - K = 0; 400 / 1e-320 would overflow
+    # the equilibrium horizon
     for fn in (boundary_params, linearization, fixed_point,
                second_order_variance_of_Y,
                lambda lam: variance_of_Y(lam, 1),
-               lambda lam: simulate_ar1(lam, 1, substream(0))):
-        with pytest.raises(ParameterError):
-            fn(0.0)
-        with pytest.raises(ParameterError):
-            fn(-0.5)
+               lambda lam: variance_of_Y(lam, math.inf),
+               lambda lam: stationary_autocovariance(lam, 1),
+               lambda lam: simulate_ar1(lam, 1, substream(0)),
+               equilibrium_steps):
+        for lam in (0.0, -0.5):
+            with pytest.raises(ParameterError):
+                fn(lam)
+        for lam in (1e-17, 1e-320):
+            with pytest.raises(ParameterError, match=r"exp\(-decay_rate\) < 1"):
+                fn(lam)
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: variance_of_Y(0.1, 2.5), "whole number", id="variance-fractional-n"),
+    pytest.param(lambda: variance_of_Y(0.1, -0.5), "whole number",
+                 id="variance-negative-fraction"),
+    pytest.param(lambda: variance_of_Y(0.1, -1), "nonnegative", id="variance-negative-n"),
+    pytest.param(lambda: variance_of_Y(0.1, math.nan), "whole number", id="variance-nan-n"),
+    pytest.param(lambda: variance_of_Y(0.1, -math.inf), "whole number",
+                 id="variance-minus-inf-n"),
+    pytest.param(lambda: stationary_autocovariance(0.1, 2.5), "whole number",
+                 id="autocovariance-fractional-lag"),
+    pytest.param(lambda: stationary_autocovariance(0.1, math.inf), "whole number",
+                 id="autocovariance-inf-lag"),
+    pytest.param(lambda: simulate_ar1(0.1, 2.5, substream(0)), "whole number",
+                 id="simulate-fractional-steps"),
+    pytest.param(lambda: simulate_ar1(0.1, math.nan, substream(0)), "whole number",
+                 id="simulate-nan-steps"),
+    pytest.param(lambda: longest_starvation(np.zeros(5, np.uint8), 2.5), "whole number",
+                 id="starvation-fractional-k"),
+    pytest.param(lambda: property_non_collapse(unit_pair(0.1), 100, volume_floor=math.nan),
+                 "volume_floor", id="collapse-nan-floor"),
+    pytest.param(lambda: property_non_collapse(unit_pair(0.1), 100, volume_floor=-1.0),
+                 "volume_floor", id="collapse-negative-floor"),
+])
+def test_closed_forms_and_checks_reject_bad_counts(monkeypatch, call, message):
+    # int() used to read 2.5 as 2 and -0.5 as 0, and NaN raised numpy's or
+    # Python's own errors; a bad volume floor failed the check quietly, and
+    # only after the run
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated before checking the input")
+    monkeypatch.setattr(harness, "run_trajectory", no_run)
+    with pytest.raises(ParameterError, match=message):
+        call()
+
+
+def test_closed_forms_accept_whole_floats_and_numpy_integers():
+    assert variance_of_Y(0.1, 3.0) == variance_of_Y(0.1, np.int64(3)) == variance_of_Y(0.1, 3)
+    assert stationary_autocovariance(0.1, -2.0) == stationary_autocovariance(0.1, 2)
+    assert np.array_equal(simulate_ar1(0.1, 5.0, substream(1)),
+                          simulate_ar1(0.1, np.int64(5), substream(1)))
+    assert longest_starvation(np.array([0, 1, 0], np.uint8), 2.0) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -245,20 +297,13 @@ def test_simulate_ar1_vanishing_noise_stays_at_zero():
 def test_ar1_params_for_config_rejects_other_models():
     # property_non_convergence is calibrated to the AR(1) variance, so it
     # refuses every model but the two-category uniform one on [0, 1]
-    cfg = unit_pair(0.5)
     k3 = ModelConfig(k=3, decay_rate=0.5, domain=UNIT,
-                     dist=DistributionSpec.uniform(),
                      init_means=np.array([[0.2], [0.5], [0.8]]),
                      init_weights=np.ones(3), seed=1)
     wide = ModelConfig(k=2, decay_rate=0.5,
                        domain=Domain(np.array([0.0]), np.array([2.0])),
-                       dist=DistributionSpec.uniform(),
                        init_means=np.array([[0.5], [1.5]]),
                        init_weights=np.ones(2), seed=1)
-    flat = ModelConfig(k=2, decay_rate=0.5, domain=UNIT,
-                       dist=DistributionSpec.from_density(lambda z: 1.0, 1.0),
-                       init_means=cfg.init_means, init_weights=np.ones(2),
-                       seed=1)
-    for bad in (k3, wide, flat):
+    for bad in (k3, wide):
         with pytest.raises(ParameterError, match="calibrated to the 2-category"):
             property_non_convergence(bad, 100)

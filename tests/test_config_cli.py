@@ -54,7 +54,7 @@ def test_minimal_trajectory_defaults():
     assert spec.stride == 1
     assert spec.seed == 5
     assert spec.model.decay_rate == 0.1
-    assert spec.model.dist.kind == "uniform"
+    assert spec.expanded["distribution"] == "uniform"
     assert np.array_equal(spec.model.init_means, [[0.25], [0.75]])
     assert spec.out is None and spec.scatter_points is None
 
@@ -467,6 +467,29 @@ def test_cli_properties_rejects_what_the_suite_cannot_run(
     assert main(["properties", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
     assert f"(field: {field})" in capsys.readouterr().err
     assert not (tmp_path / "b" / "properties.csv").exists()
+
+
+@pytest.mark.parametrize("command,text,field", [
+    ("ar1-table", "lambda_grid = 1e-17\n", "lambda_grid"),
+    ("variance-curve", "lambda_grid = 1e-17\nn_list = 10\nreplicas = 4\n", "lambda_grid"),
+    ("variance-curve", "lambda_grid = 1e-320\nn_list = inf\nreplicas = 4\n", "lambda_grid"),
+    ("properties", "preset = theorem-suite\nlambda = 1e-17\n", "lambda"),
+], ids=["ar1-table", "variance-curve", "variance-curve-equilibrium", "properties"])
+def test_cli_rejects_decay_rates_that_decay_nothing(tmp_path, capsys, monkeypatch,
+                                                    command, text, field):
+    # exp(-1e-17) rounds to 1.0: the closed forms then divide by zero, and
+    # the equilibrium horizon 400 / 1e-320 overflows.  The rate is refused
+    # as a configuration error before any simulation starts
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated before checking the config")
+    monkeypatch.setattr(exdyn.harness, "run_trajectory", no_run)
+    monkeypatch.setattr(exdyn.harness, "_lockstep_states", no_run)
+    cfg = write(tmp_path, "tiny.cfg", f"experiment = {command}\nseed = 1\n" + text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"(field: {field})" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_zero_decay_properties_pass(tmp_path):

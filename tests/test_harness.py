@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from exdyn import harness
 from exdyn import (
     Domain,
-    DistributionSpec,
     EnsembleEstimate,
     ExemplarCloud,
     GeometryError,
@@ -46,7 +45,6 @@ SQUARE = Domain(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
 
 def pair_config(decay_rate, seed, means=(0.25, 0.75), weights=(1.0, 1.0)):
     return ModelConfig(k=2, decay_rate=decay_rate, domain=UNIT,
-                       dist=DistributionSpec.uniform(),
                        init_means=np.array([[means[0]], [means[1]]]),
                        init_weights=np.array(weights, dtype=float), seed=seed)
 
@@ -84,7 +82,6 @@ def test_state_accepts_a_weight_decayed_to_zero():
 
 def test_boundaries_require_1d_pair():
     cfg = ModelConfig(k=3, decay_rate=0.1, domain=UNIT,
-                      dist=DistributionSpec.uniform(),
                       init_means=np.array([[0.2], [0.5], [0.8]]),
                       init_weights=np.ones(3), seed=4)
     rec = run_trajectory(cfg, 10)
@@ -145,7 +142,6 @@ def test_run_trajectory_matches_step_reference(k, dim, decay_rate, lower, span,
     domain = Domain(np.full(dim, lower), np.full(dim, lower + span))
     init = substream(seed, 99)
     cfg = ModelConfig(k=k, decay_rate=decay_rate, domain=domain,
-                      dist=DistributionSpec.uniform(),
                       init_means=domain.uniform_points(init, k),
                       init_weights=init.uniform(0.5, 50.0, k), seed=seed)
     rec = run_trajectory(cfg, n_steps, stride=1, record_winners=True)
@@ -164,7 +160,7 @@ def assert_replays_step(cfg, rec, n_steps, rng=None):
     draws = []
     for t in range(n_steps + 1):
         if t:
-            z = sample(cfg.dist, cfg.domain, g)
+            z = sample(cfg.domain, g)
             draws.append(z)
             if rec.winners is not None:
                 assert rec.winners[t - 1] == classify(z, state.means)
@@ -179,7 +175,6 @@ def box_config(k, dim, decay_rate, seed, init_key):
     domain = Domain(np.full(dim, -1.0), np.full(dim, 2.0))
     init = substream(k, dim, init_key)
     return ModelConfig(k=k, decay_rate=decay_rate, domain=domain,
-                       dist=DistributionSpec.uniform(),
                        init_means=domain.uniform_points(init, k),
                        init_weights=init.uniform(0.5, 50.0, k), seed=seed)
 
@@ -269,21 +264,6 @@ def test_identity_decay_matches_step_reference(k, dim):
     assert states[n_steps][1].sum(axis=1) == pytest.approx([total] * 3, rel=1e-12)
 
 
-@pytest.mark.parametrize("k,dim", [(2, 1), (3, 2), (4, 3)])
-def test_density_run_matches_step_reference(k, dim):
-    # the density kind draws one rejection sample per step and hands the
-    # loop the points themselves, with no map onto the box
-    domain = Domain(np.full(dim, -1.0), np.full(dim, 2.0))
-    dist = DistributionSpec.from_density(
-        lambda z: 1.0 + 0.5 * math.sin(3.0 * float(z.sum())), envelope=1.5)
-    init = substream(k, dim)
-    cfg = ModelConfig(k=k, decay_rate=0.05, domain=domain, dist=dist,
-                      init_means=domain.uniform_points(init, k),
-                      init_weights=init.uniform(0.5, 5.0, k), seed=7 * k + dim)
-    rec = run_trajectory(cfg, 400, stride=1, record_winners=True)
-    assert_replays_step(cfg, rec, 400)
-
-
 def test_cloud_run_matches_step_reference():
     # with a cloud the loop hands every draw to the cloud with birth step t
     # for the t-th update
@@ -331,7 +311,7 @@ def test_ties_go_to_the_lower_index(means, ties):
     means = np.array(means)
     k, dim = means.shape
     cfg = ModelConfig(k=k, decay_rate=0.0, domain=Domain(np.zeros(dim), np.ones(dim)),
-                      dist=DistributionSpec.uniform(), init_means=means,
+                      init_means=means,
                       init_weights=np.ones(k), seed=0)
     state = SystemState(cfg.init_means.copy(), cfg.init_weights.copy())
     draws = []
@@ -364,7 +344,7 @@ def test_distances_add_coordinates_in_order():
          0.4451880046194649, 0.8567465325745852]])
     domain = Domain(np.zeros(8), np.ones(8))
     cfg = ModelConfig(k=2, decay_rate=0.1, domain=domain,
-                      dist=DistributionSpec.uniform(), init_means=means,
+                      init_means=means,
                       init_weights=np.array([1.0, 2.0]), seed=0)
     assert classify(z, means) == 0
     assert assign_cells([z], means)[0] == 0
@@ -384,7 +364,6 @@ def test_distances_add_coordinates_in_order():
 @pytest.mark.parametrize("k", [2, 300])
 def test_winners_are_stored_as_small_integers(k):
     cfg = ModelConfig(k=k, decay_rate=0.1, domain=UNIT,
-                      dist=DistributionSpec.uniform(),
                       init_means=np.linspace(0.0, 1.0, k)[:, None],
                       init_weights=np.ones(k), seed=8)
     rec = run_trajectory(cfg, 2000, stride=2000, record_winners=True)
@@ -401,7 +380,6 @@ def test_winners_at_the_byte_edge_match_step_reference(k):
     # up to k = 256 the winners are one byte each and are stored from bytes;
     # from k = 257 on they take two bytes and the plain list assignment
     cfg = ModelConfig(k=k, decay_rate=0.1, domain=UNIT,
-                      dist=DistributionSpec.uniform(),
                       init_means=np.linspace(0.0, 1.0, k)[:, None],
                       init_weights=np.ones(k), seed=9)
     rec = run_trajectory(cfg, 300, stride=100, record_winners=True)
@@ -423,7 +401,6 @@ def test_trajectory_cloud_reproduces_state():
     # every draw lands in the cloud, so the cloud's decayed weighted means
     # must reproduce the recursively updated state
     cfg = ModelConfig(k=3, decay_rate=0.05, domain=UNIT,
-                      dist=DistributionSpec.uniform(),
                       init_means=np.array([[0.2], [0.5], [0.8]]),
                       init_weights=np.array([2.0, 1.0, 3.0]), seed=9)
     cloud = ExemplarCloud(3, 1)
@@ -508,6 +485,25 @@ def test_variance_curve_rejects_nan_decay():
         boundary_variance_curve([math.nan], [100], 4, 1)
     with pytest.raises(ParameterError):
         boundary_variance_curve([0.1, math.nan], [100], 4, 1)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: boundary_variance_curve([0.05, 1e-320], [math.inf], 3, 1),
+                 id="curve-equilibrium"),
+    pytest.param(lambda: property_non_convergence(pair_config(1e-17, seed=3), 100),
+                 id="non-convergence"),
+    pytest.param(lambda: theorem_suite(pair_config(1e-17, seed=3), 100), id="suite"),
+])
+def test_rates_that_decay_nothing_are_refused_before_any_run(monkeypatch, call):
+    # exp(-1e-17) rounds to 1.0: the variance floor's closed form and the
+    # equilibrium horizon have no value there.  Grid point 0 of the curve
+    # is valid, and its ensemble must not run first
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated before checking the input")
+    monkeypatch.setattr(harness, "run_trajectory", no_run)
+    monkeypatch.setattr(harness, "_lockstep_states", no_run)
+    with pytest.raises(ParameterError, match=r"exp\(-decay_rate\) < 1"):
+        call()
 
 
 @pytest.mark.parametrize("call", [
@@ -606,7 +602,6 @@ def test_lockstep_rows_replay_single_runs(k, dim, decay_rate, box):
     for r in range(3):
         init = substream(k, dim, r)
         configs.append(ModelConfig(k=k, decay_rate=decay_rate, domain=domain,
-                                   dist=DistributionSpec.uniform(),
                                    init_means=domain.uniform_points(init, k),
                                    init_weights=init.uniform(0.5, 50.0, k),
                                    seed=100 * k + dim))
@@ -642,7 +637,6 @@ def test_lockstep_rows_replay_at_tile_and_chunk_edges(R, dim):
     targets = [1, chunk - 1, chunk, chunk + 1, 2 * chunk + 7]
     init = substream(R, dim)
     cfg = ModelConfig(k=3, decay_rate=0.1, domain=domain,
-                      dist=DistributionSpec.uniform(),
                       init_means=domain.uniform_points(init, 3),
                       init_weights=init.uniform(0.5, 50.0, 3), seed=R)
     states = harness._lockstep_states(
@@ -674,7 +668,6 @@ def test_lockstep_single_replica_shares_the_start():
     domain = Domain(np.array([-1.0, 0.0]), np.array([3.0, 2.0]))
     init = substream(3, 2)
     cfg = ModelConfig(k=3, decay_rate=0.05, domain=domain,
-                      dist=DistributionSpec.uniform(),
                       init_means=domain.uniform_points(init, 3),
                       init_weights=init.uniform(0.5, 5.0, 3), seed=21)
     states = harness._lockstep_states(cfg.init_means, cfg.init_weights, 0.05,
@@ -807,7 +800,6 @@ def test_non_convergence_reads_the_tail_of_one_run(decay_rate, n_steps):
 def test_non_convergence_rejects_other_models():
     cfg = ModelConfig(k=2, decay_rate=0.1,
                       domain=Domain(np.array([0.0]), np.array([2.0])),
-                      dist=DistributionSpec.uniform(),
                       init_means=np.array([[0.5], [1.5]]),
                       init_weights=np.ones(2), seed=1)
     with pytest.raises(ParameterError):
@@ -825,7 +817,6 @@ def test_macqueen_cvt_settles_with_heavy_anchor():
     # domain centroid drifts toward it, and the drift dominates sampling
     # noise at this horizon
     cfg = ModelConfig(k=1, decay_rate=0.0, domain=UNIT,
-                      dist=DistributionSpec.uniform(),
                       init_means=np.array([[0.1]]),
                       init_weights=np.array([1000.0]), seed=21)
     rep = property_macqueen_cvt(cfg, 10000)
@@ -922,7 +913,6 @@ def test_theorem_suite_rejects_its_input_before_running(
 
     monkeypatch.setattr(harness, "run_trajectory", no_run)
     cfg = ModelConfig(k=k, decay_rate=decay_rate, domain=UNIT,
-                      dist=DistributionSpec.uniform(),
                       init_means=np.linspace(0.2, 0.8, k)[:, None],
                       init_weights=np.ones(k), seed=23)
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
@@ -934,7 +924,6 @@ def test_theorem_suite_rejects_its_input_before_running(
 
 def snapshot_config(decay_rate, seed=7):
     return ModelConfig(k=2, decay_rate=decay_rate, domain=SQUARE,
-                       dist=DistributionSpec.uniform(),
                        init_means=np.array([[0.25, 0.5], [0.75, 0.5]]),
                        init_weights=np.array([5.0, 5.0]), seed=seed)
 

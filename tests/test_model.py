@@ -10,13 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exdyn import (
-    DistributionSpec,
     Domain,
     DomainError,
     ExemplarCloud,
     ModelConfig,
     ParameterError,
-    SamplingError,
     SystemState,
     classify,
     limit_total_weight,
@@ -209,10 +207,9 @@ def test_weight_bound_rejects_nan():
 def test_sample_uniform_matches_batch_draws():
     # single draws consume the stream exactly like a batched fill, so the
     # batched path can stand in for sample() in the long statistics below
-    dist = DistributionSpec.uniform()
-    singles = np.array([sample(dist, UNIT, substream(7))[0] for _ in range(1)])
+    singles = np.array([sample(UNIT, substream(7))[0] for _ in range(1)])
     g1 = substream(7)
-    xs = np.array([sample(dist, UNIT, g1)[0] for _ in range(1000)])
+    xs = np.array([sample(UNIT, g1)[0] for _ in range(1000)])
     g2 = substream(7)
     batch = UNIT.uniform_points(g2, 1000)[:, 0]
     assert np.array_equal(xs, batch)
@@ -226,62 +223,12 @@ def test_sample_uniform_mean_clt_bound():
     assert xs.min() >= 0.0 and xs.max() <= 1.0
 
 
-def test_flat_density_matches_uniform_ks():
-    from scipy.stats import ks_2samp
-
-    dist = DistributionSpec.from_density(lambda z: 1.0, envelope=1.0)
-    n = 100_000
-    g = substream(23)
-    rejected = np.fromiter((sample(dist, UNIT, g)[0] for _ in range(n)),
-                           dtype=np.float64, count=n)
-    uniform = UNIT.uniform_points(substream(29), n)[:, 0]
-    stat = ks_2samp(rejected, uniform).statistic
-    # two-sample KS critical value at the 1% level
-    crit = 1.6276 * math.sqrt((n + n) / (n * n))
-    assert stat < crit
-
-
-def test_density_must_be_positive():
-    dist = DistributionSpec.from_density(lambda z: -1.0, envelope=1.0)
-    with pytest.raises(SamplingError):
-        sample(dist, UNIT, substream(1))
-    # NaN is neither <= 0 nor above the envelope; it must fail on the first
-    # draw, not after the whole retry budget
-    dist = DistributionSpec.from_density(lambda z: math.nan, envelope=1.0)
-    with pytest.raises(SamplingError, match="density evaluated to nan"):
-        sample(dist, UNIT, substream(1))
-
-
-def test_density_must_respect_envelope():
-    dist = DistributionSpec.from_density(lambda z: 3.0, envelope=1.0)
-    with pytest.raises(SamplingError):
-        sample(dist, UNIT, substream(1))
-
-
-def test_rejection_attempt_cap_reports_envelope():
-    dist = DistributionSpec.from_density(lambda z: 1e-9, envelope=1.0,
-                                         max_attempts=30)
-    with pytest.raises(SamplingError, match="envelope"):
-        sample(dist, UNIT, substream(1))
-
-
-def test_distribution_spec_validation():
-    with pytest.raises(ParameterError):
-        DistributionSpec(kind="gaussian")
-    with pytest.raises(ParameterError):
-        DistributionSpec.from_density(None, envelope=1.0)
-    for envelope in (0.0, math.inf, math.nan):
-        with pytest.raises(ParameterError):
-            DistributionSpec.from_density(lambda z: 1.0, envelope=envelope)
-
-
 # ---------------------------------------------------------------------------
 # config and state validation
 
 def test_model_config_validation():
     def build(**kw):
         base = dict(k=2, decay_rate=0.1, domain=UNIT,
-                    dist=DistributionSpec.uniform(),
                     init_means=np.array([[0.25], [0.75]]),
                     init_weights=np.array([1.0, 1.0]), seed=1)
         base.update(kw)
@@ -320,7 +267,7 @@ def test_model_config_seed_is_a_whole_64_bit_number(seed, match):
     # int(seed) truncated 1.5 and -0.5 to seeds that ran, and raised
     # ValueError on NaN
     with pytest.raises(ParameterError, match=f"seed must .*{match}"):
-        ModelConfig(k=2, decay_rate=0.1, domain=UNIT, dist=DistributionSpec.uniform(),
+        ModelConfig(k=2, decay_rate=0.1, domain=UNIT,
                     init_means=np.array([[0.25], [0.75]]),
                     init_weights=np.array([1.0, 1.0]), seed=seed)
 
@@ -350,7 +297,7 @@ def test_config_mean_checks_match_the_double_loop(rows):
     box = Domain(-np.ones(dim), np.ones(dim))
     expected = _loop_config_error(means, box)
     try:
-        ModelConfig(k=k, decay_rate=0.1, domain=box, dist=DistributionSpec.uniform(),
+        ModelConfig(k=k, decay_rate=0.1, domain=box,
                     init_means=means, init_weights=np.ones(k), seed=1)
         got = None
     except (DomainError, ParameterError) as exc:
@@ -364,7 +311,7 @@ def test_distinct_means_check_is_fast_at_large_k():
     means = np.linspace(0.0, 1.0, k)[:, None]
 
     def build(m):
-        return ModelConfig(k=k, decay_rate=0.1, domain=box, dist=DistributionSpec.uniform(),
+        return ModelConfig(k=k, decay_rate=0.1, domain=box,
                            init_means=m, init_weights=np.ones(k), seed=1)
 
     t0 = time.perf_counter()
