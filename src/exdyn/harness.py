@@ -36,16 +36,20 @@ run_trajectory stores them into the record with one slice assignment per
 array, and the trajectory CSV writer formats them as they come, so it
 never holds the record.
 
-A run can be continued from a record's last state on the generator that
-made it, and the continued states equal those of one uninterrupted run.
-theorem_suite uses this to run its config once: one run's head keeps the
-winners and every check_stride-th state, its last quarter continues at
-stride 1, and the non-extinction, non-collapse and non-convergence reports
-are built from that run by the same code as the standalone checks, which
-each run the trajectory themselves.  figure1_snapshot runs its head without
-an exemplar cloud and feeds the cloud only from a tail as long as the
-survivor horizon, the age past which an absorbed point weighs no more than
-the cutoff, so the cloud grows with that horizon, not with n_steps.
+A run can be continued from its last state on the generator that made it,
+and the continued states equal those of one uninterrupted run.
+theorem_suite uses this to run its config once, without building a record:
+it reads the blocks of the run's head, every check_stride-th state, and of
+its last quarter, continued at stride 1, as they come.  A tracker keeps
+each category's last winning step and the longest gap, so no winner is
+stored; the late window keeps the last quarter's means, 4 B per step of the
+run, and counts their moves per chunk.  The non-extinction, non-collapse
+and non-convergence reports are built by the same readers and report code
+as the standalone checks, which each run the trajectory themselves.
+figure1_snapshot runs its head without an exemplar cloud and feeds the
+cloud only from a tail as long as the survivor horizon, the age past which
+an absorbed point weighs no more than the cutoff, so the cloud grows with
+that horizon, not with n_steps.
 """
 
 from __future__ import annotations
@@ -194,11 +198,11 @@ def _trajectory_blocks(config: ModelConfig, n_steps: int, stride: int, rng=None,
 
     n_steps and stride are as _run_length returns them.  states is a (rows,
     k dim + k) float array of the states recorded in the chunk, each row
-    the flat state (*means.ravel(), *weights); winners is the chunk's list
-    of winning categories, empty unless record_winners.  The first yield is
-    the initial state with no winners.  A chunk records no state when the
-    stride is longer than the chunk and no multiple of it falls there.
-    rng and cloud are run_trajectory's.
+    the flat state (*means.ravel(), *weights); winners is the chunk's array
+    of winning categories, empty unless record_winners, as uint8 up to k =
+    256.  The first yield is the initial state with no winners.  A chunk
+    records no state when the stride is longer than the chunk and no
+    multiple of it falls there.  rng and cloud are run_trajectory's.
     """
     if rng is None:
         rng = substream(config.seed)
@@ -207,7 +211,7 @@ def _trajectory_blocks(config: ModelConfig, n_steps: int, stride: int, rng=None,
     loop = _step_loop(k, dim, record_winners, stride == 1, cloud is not None, decay != 1.0)
     cloud_add = None if cloud is None else cloud.add
     state = (*config.init_means.ravel().tolist(), *config.init_weights.tolist())
-    yield np.array([state]), []
+    yield np.array([state]), np.array([], np.uint8)
 
     t = 0
     while t < n_steps:
@@ -217,7 +221,9 @@ def _trajectory_blocks(config: ModelConfig, n_steps: int, stride: int, rng=None,
         # a 1-D loop takes each draw as a float
         state = loop((zs[:, 0] if dim == 1 else zs).tolist(), t, stride, decay, state,
                      recs, wins, cloud_add)
-        yield np.fromiter(recs, float, len(recs)).reshape(-1, len(state)), wins
+        # bytes() packs small ints about 3x as fast as numpy converts a list
+        yield (np.fromiter(recs, float, len(recs)).reshape(-1, len(state)),
+               np.frombuffer(bytes(wins), np.uint8) if k <= 256 else np.array(wins, np.intp))
         t += m
 
 
@@ -251,9 +257,7 @@ def run_trajectory(config: ModelConfig, n_steps: int, stride: int = 1,
         rec_weights[r:r + len(block)] = block[:, k * dim:]
         r += len(block)
         if record_winners:
-            # bytes() packs small ints about 3x as fast as numpy converts a list
-            winners[t:t + len(wins)] = (np.frombuffer(bytes(wins), np.uint8) if k <= 256
-                                        else wins)
+            winners[t:t + len(wins)] = wins
             t += len(wins)
 
     return TrajectoryRecord(config=config, stride=stride, means=rec_means,
@@ -266,16 +270,23 @@ def _continue_run(record: TrajectoryRecord, n_steps: int, stride: int, rng,
     """Run n_steps more from the record's last state, drawing from ``rng``.
 
     Passing the generator the record was made with continues the same
-    stream, so the states equal those of one uninterrupted run.  The
-    continuation's config is a copy with the state set directly, because
-    ModelConfig's input checks refuse a state the dynamics reach: a weight
-    that decayed to 0.0.
+    stream, so the states equal those of one uninterrupted run.
     """
-    cont = copy.copy(record.config)
-    object.__setattr__(cont, "init_means", record.means[-1])
-    object.__setattr__(cont, "init_weights", record.weights[-1])
-    return run_trajectory(cont, n_steps, stride=stride, rng=rng,
+    return run_trajectory(_resumed(record.config, np.append(record.means[-1],
+                                                            record.weights[-1])),
+                          n_steps, stride=stride, rng=rng,
                           record_winners=record_winners, cloud=cloud)
+
+
+def _resumed(config, state):
+    # a copy of config that starts from the flat state (*means.ravel(),
+    # *weights), set directly because ModelConfig's input checks refuse a
+    # state the dynamics reach: a weight that decayed to 0.0
+    k, dim = config.init_means.shape
+    cont = copy.copy(config)
+    object.__setattr__(cont, "init_means", state[:k * dim].reshape(k, dim))
+    object.__setattr__(cont, "init_weights", state[k * dim:])
+    return cont
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +475,7 @@ def boundary_samples(decay_rate: float, n_targets, replicas: int,
     master_seed = _seed(master_seed, "master_seed")
     if _whole(index, "index must be a whole number") < 0:
         raise ParameterError("index must be nonnegative")
-    half_w = limit_total_weight(decay_rate) / 2.0
+    half_w = limit_total_weight(decay_rate) / 2.0  # checked before any stream is made
     gens = [replica_stream(master_seed, index, r) for r in range(replicas)]
     states = _lockstep_states(np.array([[0.25], [0.75]]), np.array([half_w, half_w]),
                               decay_rate, _UNIT_INTERVAL, gens, targets)
@@ -521,9 +532,11 @@ def boundary_variance_curve(lambda_grid, n_list, replicas, master_seed):
     if not horizons:
         raise ParameterError("n_list must be non-empty")
     master_seed = _seed(master_seed, "master_seed")
-    # every grid point's horizons, and so its rate, are checked before any runs
+    # every grid point's horizons and starting weight are checked before any runs
     effs = [{n: (equilibrium_steps(lam) if n == math.inf else n) for n in horizons}
             for lam in grid]
+    for lam in grid:
+        limit_total_weight(lam)
 
     estimates = []
     for i, (lam, eff) in enumerate(zip(grid, effs)):
@@ -547,6 +560,43 @@ class PropertyReport:
     seed: int
 
 
+class _StarvationTracker:
+    """The longest run of post-burn-in steps that leaves some category
+    without a win, fed the winners of consecutive steps chunk by chunk.
+
+    Steps count from 1: the i-th winner fed is that of step i.  The tracker
+    keeps, per category, the step of its last win after burn-in (burn_in
+    itself before the first one), and the longest gap between such wins, so
+    it holds k + 1 integers whatever the run's length.
+    """
+
+    def __init__(self, k, burn_in):
+        self.burn_in = burn_in
+        self.last = [burn_in] * k
+        self.longest = 0
+        self.steps = 0
+
+    def feed(self, winners):
+        """Take the winners, a 1-D integer array, of the next len(winners) steps."""
+        t = self.steps
+        self.steps += len(winners)
+        skip = max(self.burn_in - t, 0)
+        if skip >= len(winners):
+            return
+        after = winners[skip:]
+        for j, last in enumerate(self.last):
+            won = np.flatnonzero(after == j)
+            if won.size:
+                won += t + skip + 1
+                self.longest = max(self.longest, int(np.diff(won, prepend=last).max()) - 1)
+                self.last[j] = int(won[-1])
+
+    def result(self) -> int:
+        """The longest starvation over the steps fed so far."""
+        # a category's last gap runs from its last win to the last step
+        return max([self.longest, *(self.steps - last for last in self.last)])
+
+
 def longest_starvation(winners, k: int, burn_in: int = 0) -> int:
     """Longest run of consecutive post-burn-in steps leaving some category
     without a single win.  winners[t] is the winner of update t+1."""
@@ -554,32 +604,33 @@ def longest_starvation(winners, k: int, burn_in: int = 0) -> int:
     if not burn_in >= 0:
         raise ParameterError("burn_in must be nonnegative")
     burn_in = _whole(burn_in, "burn_in must be a whole number")
-    w = np.asarray(winners)
-    n = w.shape[0]
-    burn_in = min(burn_in, n)
-    worst = 0
-    for j in range(k):
-        times = np.flatnonzero(w[burn_in:] == j) + burn_in + 1
-        edges = np.concatenate(([burn_in], times, [n + 1]))
-        worst = max(worst, int(np.diff(edges).max()) - 1)
-    return worst
+    gaps = _StarvationTracker(k, burn_in)
+    gaps.feed(np.asarray(winners))
+    return gaps.result()
 
 
-def _check_starvation_input(config, window):
+def _extinction_tracker(config, window):
+    # checks the non-extinction input, and returns the tracker of its
+    # burn-in of 10 ceil(1 / decay_rate) steps
     if config.decay_rate <= 0:
         raise ParameterError("non-extinction check requires decay_rate > 0")
+    # such a rate decays nothing: the burn-in would pass the run, or
+    # overflow below about 5.6e-309
+    if math.exp(-config.decay_rate) == 1.0:
+        raise ParameterError(f"non-extinction check requires exp(-decay_rate) < 1, "
+                             f"got decay_rate {config.decay_rate}")
     if not window >= 1:
         raise ParameterError("window must be positive")
     _whole(window, "window must be a whole number")
+    return _StarvationTracker(config.k, 10 * math.ceil(1.0 / config.decay_rate))
 
 
-def _extinction_report(config, n_steps, window, winners) -> PropertyReport:
-    burn_in = 10 * math.ceil(1.0 / config.decay_rate)
-    worst = longest_starvation(winners, config.k, burn_in)
+def _extinction_report(config, n_steps, window, gaps) -> PropertyReport:
+    worst = gaps.result()
     return PropertyReport(
         name="non-extinction",
         passed=worst < window,
-        stats={"max_starvation": float(worst), "burn_in": float(burn_in),
+        stats={"max_starvation": float(worst), "burn_in": float(gaps.burn_in),
                "n_steps": float(n_steps)},
         thresholds={"window": float(window)},
         seed=config.seed,
@@ -591,10 +642,11 @@ def property_non_extinction(config: ModelConfig, n_steps: int,
     """Pass iff every category keeps winning: after a burn-in of
     10*ceil(1/decay_rate) steps, no stretch of ``window`` consecutive steps
     leaves any category empty-handed."""
-    _check_starvation_input(config, window)
+    gaps = _extinction_tracker(config, window)
     n, _ = _run_length(n_steps, 1)
-    rec = run_trajectory(config, n, stride=max(1, n), record_winners=True)
-    return _extinction_report(config, n_steps, window, rec.winners)
+    for _, winners in _trajectory_blocks(config, n, max(1, n), record_winners=True):
+        gaps.feed(winners)
+    return _extinction_report(config, n_steps, window, gaps)
 
 
 def _min_pairwise_distance(means_batch) -> np.ndarray:
@@ -673,12 +725,34 @@ def _cvt_problem(n_steps):
         return "n_steps", "n_steps must be a positive multiple of 10"
 
 
-def _convergence_report(config, n_steps, late_means) -> PropertyReport:
-    # late_means: the states of the last n_steps // 4 steps, at stride 1
-    late = late_means[:, :, 0]
-    late_var = late.var(axis=0)
-    moves = np.abs(np.diff(late, axis=0))
-    move_freq = (moves > MOVEMENT_EPSILON).mean(axis=0)
+class _LateWindow:
+    """The unit pair's means over a run's last steps, fed chunk by chunk.
+
+    np.var rounds in two passes, so it cannot be streamed bit for bit: the
+    window holds its states' means, (tail + 1, k) floats, for one var call.
+    The steps that moved each mean by more than MOVEMENT_EPSILON are counted
+    per chunk as exact integers, each chunk from the last state before it.
+    """
+
+    def __init__(self, tail, k):
+        self.means = np.empty((tail + 1, k))
+        self.moves = np.zeros(k, dtype=np.int64)
+        self.rows = 0
+
+    def feed(self, states):
+        """Take the next stride-1 states, flat as _trajectory_blocks yields them."""
+        r = self.rows
+        self.rows += len(states)
+        # in 1-D the means are a state's first k values
+        self.means[r:self.rows] = states[:, :self.means.shape[1]]
+        steps = np.diff(self.means[max(r - 1, 0):self.rows], axis=0)
+        self.moves += (np.abs(steps) > MOVEMENT_EPSILON).sum(axis=0)
+
+
+def _convergence_report(config, n_steps, late) -> PropertyReport:
+    # late: the _LateWindow of the last n_steps // 4 steps
+    late_var = late.means.var(axis=0)
+    move_freq = late.moves / (len(late.means) - 1)
     floor = variance_floor(config.decay_rate)
     passed = bool(np.all(late_var > floor) and np.all(move_freq > 0.0))
     return PropertyReport(
@@ -707,11 +781,15 @@ def property_non_convergence(config: ModelConfig, n_steps: int) -> PropertyRepor
     problem = _late_window_problem(config, n_steps)
     if problem:
         raise ParameterError(problem[1])
-    tail = n_steps // 4
+    n, _ = _run_length(n_steps, 1)
+    tail = n // 4
     rng = substream(config.seed)
-    head = run_trajectory(config, n_steps - tail, stride=n_steps - tail, rng=rng)
-    late = _continue_run(head, tail, 1, rng)
-    return _convergence_report(config, n_steps, late.means)
+    for states, _ in _trajectory_blocks(config, n - tail, n - tail, rng):
+        pass
+    late = _LateWindow(tail, config.k)
+    for states, _ in _trajectory_blocks(_resumed(config, states[-1]), tail, 1, rng):
+        late.feed(states)
+    return _convergence_report(config, n_steps, late)
 
 
 def property_macqueen_cvt(config: ModelConfig, n_steps: int) -> PropertyReport:
@@ -757,14 +835,16 @@ def theorem_suite(config: ModelConfig, n_steps: int = 1_000_000,
     what property_non_extinction, property_non_collapse and
     property_non_convergence give on their own.
 
-    The three checks share one run of the config on its seed's stream.  Its
-    head, steps 0 to n_steps - n_steps // 4, keeps the winners and the
-    states every check_stride steps (if check_stride does not divide the
-    head, a second short run finishes it).  Its tail, the last quarter,
-    continues on the same stream and keeps every state and winner.  The
-    non-collapse states are the head's plus the tail's at multiples of
-    check_stride.  Every argument is checked before the run starts."""
-    _check_starvation_input(config, window)
+    The three checks share one run of the config on its seed's stream, read
+    chunk by chunk as _trajectory_blocks yields it: every winner goes to the
+    non-extinction check's tracker and is dropped.  The run's head, steps 0
+    to n_steps - n_steps // 4, yields the states every check_stride steps
+    (if check_stride does not divide the head, a second short run finishes
+    it).  Its tail, the last quarter, continues on the same stream at stride
+    1, and only its means are kept.  The non-collapse states are the head's
+    plus the tail's at multiples of check_stride.  Every argument is checked
+    before the run starts."""
+    gaps = _extinction_tracker(config, window)
     n, stride = _run_length(n_steps, check_stride)
     problem = _late_window_problem(config, n)
     if problem:
@@ -774,31 +854,32 @@ def theorem_suite(config: ModelConfig, n_steps: int = 1_000_000,
     head_len = n - tail
     whole = head_len - head_len % stride
     rng = substream(config.seed)
-    heads = [run_trajectory(config, whole, stride=stride, rng=rng,
-                            record_winners=True)]
+    checked = []  # the means of the head's states, in 1-D its first k values
+    for states, winners in _trajectory_blocks(config, whole, stride, rng,
+                                              record_winners=True):
+        checked.append(states[:, :config.k])
+        gaps.feed(winners)
     if whole < head_len:
         rest = head_len - whole
-        heads.append(_continue_run(heads[0], rest, rest, rng, record_winners=True))
-    late = _continue_run(heads[-1], tail, 1, rng, record_winners=True)
+        for states, winners in _trajectory_blocks(_resumed(config, states[-1]), rest,
+                                                  rest, rng, record_winners=True):
+            gaps.feed(winners)
+    late = _LateWindow(tail, config.k)
+    for states, winners in _trajectory_blocks(_resumed(config, states[-1]), tail, 1,
+                                              rng, record_winners=True):
+        late.feed(states)
+        gaps.feed(winners)
 
     # the tail's first state is the head's last, so its states at multiples
-    # of check_stride start after it.  Records and winner pieces are freed
-    # before longest_starvation scans the joined winners: at 5e5 steps,
-    # holding the pieces through the scan raised the traced peak from
-    # 12.8 MB to 16.8 MB
+    # of check_stride start after it
     first = -head_len % stride or stride
-    states = np.concatenate([heads[0].means, late.means[first::stride]])
-    convergence = _convergence_report(config, n_steps, late.means)
-    winners = [rec.winners for rec in heads] + [late.winners]
-    del heads, late
-    winners = np.concatenate(winners)
-    extinction = _extinction_report(config, n_steps, window, winners)
-    del winners
+    checked.append(late.means[first::stride])
     out = [
-        (extinction, True),
-        (_collapse_report(config, n_steps, states), True),
-        (convergence, True),
+        (_extinction_report(config, n_steps, window, gaps), True),
+        (_collapse_report(config, n_steps, np.concatenate(checked)[:, :, None]), True),
+        (_convergence_report(config, n_steps, late), True),
     ]
+    del late, checked  # the control's own window is as large
     if negative_control:
         control = replace(config, decay_rate=0.0)
         out.append((property_non_convergence(control, n_steps), False))

@@ -283,10 +283,16 @@ def total_weight(state: SystemState) -> float:
 
 
 def limit_total_weight(decay_rate: float) -> float:
-    """The limit 1 / (1 - e^-L) of the total weight; requires decay_rate > 0."""
+    """The limit 1 / (1 - e^-L) of the total weight; requires decay_rate > 0
+    and a finite limit."""
     if not decay_rate > 0:
         raise ParameterError("limit total weight requires decay_rate > 0")
-    return 1.0 / -math.expm1(-decay_rate)
+    limit = 1.0 / -math.expm1(-decay_rate)
+    # below about 5.6e-309, 1 / decay_rate overflows: a run started at
+    # weight inf divides inf by inf
+    if limit == math.inf:
+        raise ParameterError(f"limit total weight is not finite at decay_rate {decay_rate}")
+    return limit
 
 
 def weight_bound(init_weights, decay_rate: float) -> float:

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -37,7 +38,13 @@ from exdyn import (
     theorem_suite,
     variance_of_Y,
 )
-from exdyn.harness import MOVEMENT_EPSILON, _estimate, _grid_boundary_segments, variance_floor
+from exdyn.harness import (
+    _CHUNK,
+    MOVEMENT_EPSILON,
+    _estimate,
+    _grid_boundary_segments,
+    variance_floor,
+)
 
 UNIT = Domain(np.array([0.0]), np.array([1.0]))
 SQUARE = Domain(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
@@ -106,6 +113,8 @@ def test_run_trajectory_input_validation():
     pytest.param(lambda cfg: property_non_collapse(cfg, 2000, check_stride=2.5),
                  id="collapse-fractional-stride"),
     pytest.param(lambda cfg: property_non_extinction(cfg, math.nan), id="extinction-nan-steps"),
+    pytest.param(lambda cfg: property_non_convergence(cfg, 2000.5),
+                 id="convergence-fractional-steps"),
     pytest.param(lambda cfg: theorem_suite(cfg, 2000, check_stride=2.5),
                  id="suite-fractional-stride"),
     pytest.param(lambda cfg: figure1_snapshot(snapshot_config(0.1), math.inf),
@@ -487,22 +496,39 @@ def test_variance_curve_rejects_nan_decay():
         boundary_variance_curve([0.1, math.nan], [100], 4, 1)
 
 
-@pytest.mark.parametrize("call", [
+DECAYS_NOTHING = r"exp\(-decay_rate\) < 1"
+NOT_FINITE = "limit total weight is not finite"
+
+
+@pytest.mark.parametrize("call,message", [
     pytest.param(lambda: boundary_variance_curve([0.05, 1e-320], [math.inf], 3, 1),
-                 id="curve-equilibrium"),
+                 DECAYS_NOTHING, id="curve-equilibrium"),
+    pytest.param(lambda: boundary_variance_curve([0.05, 1e-320], [3], 3, 1),
+                 NOT_FINITE, id="curve-finite-horizon"),
+    pytest.param(lambda: boundary_samples(1e-320, [3], 3, 1), NOT_FINITE, id="samples"),
     pytest.param(lambda: property_non_convergence(pair_config(1e-17, seed=3), 100),
-                 id="non-convergence"),
-    pytest.param(lambda: theorem_suite(pair_config(1e-17, seed=3), 100), id="suite"),
+                 DECAYS_NOTHING, id="non-convergence"),
+    pytest.param(lambda: property_non_extinction(pair_config(1e-17, seed=3), 100),
+                 DECAYS_NOTHING, id="non-extinction"),
+    pytest.param(lambda: property_non_extinction(pair_config(1e-320, seed=3), 100),
+                 DECAYS_NOTHING, id="non-extinction-subnormal"),
+    pytest.param(lambda: theorem_suite(pair_config(1e-17, seed=3), 100), DECAYS_NOTHING,
+                 id="suite"),
 ])
-def test_rates_that_decay_nothing_are_refused_before_any_run(monkeypatch, call):
+def test_rates_that_decay_nothing_are_refused_before_any_run(monkeypatch, call, message):
     # exp(-1e-17) rounds to 1.0: the variance floor's closed form and the
-    # equilibrium horizon have no value there.  Grid point 0 of the curve
-    # is valid, and its ensemble must not run first
+    # equilibrium horizon have no value there, and the non-extinction
+    # burn-in of 1e18 steps would pass any run.  Below about 5.6e-309 the
+    # limit total weight overflows, and an ensemble started there returned
+    # NaN boundaries.  Grid point 0 of the curve is valid, and its ensemble
+    # must not run first
     def no_run(*args, **kwargs):
         raise AssertionError("simulated before checking the input")
+    monkeypatch.setattr(harness, "substream", no_run)
     monkeypatch.setattr(harness, "run_trajectory", no_run)
+    monkeypatch.setattr(harness, "_trajectory_blocks", no_run)
     monkeypatch.setattr(harness, "_lockstep_states", no_run)
-    with pytest.raises(ParameterError, match=r"exp\(-decay_rate\) < 1"):
+    with pytest.raises(ParameterError, match=message):
         call()
 
 
@@ -705,6 +731,54 @@ def test_variance_curve_grid_layout():
 # ---------------------------------------------------------------------------
 # long-run properties
 
+def _starvation_reference(winners, k, burn_in):
+    # the whole-history scan that longest_starvation made before it streamed
+    w = np.asarray(winners)
+    n = w.shape[0]
+    burn_in = min(burn_in, n)
+    worst = 0
+    for j in range(k):
+        times = np.flatnonzero(w[burn_in:] == j) + burn_in + 1
+        edges = np.concatenate(([burn_in], times, [n + 1]))
+        worst = max(worst, int(np.diff(edges).max()) - 1)
+    return worst
+
+
+@pytest.mark.parametrize("k,n,burn_in,p", [
+    pytest.param(2, 300, 63, (0.9, 0.1), id="burn-in-before-a-chunk-edge"),
+    pytest.param(2, 300, 64, (0.9, 0.1), id="burn-in-on-a-chunk-edge"),
+    pytest.param(2, 300, 65, (0.9, 0.1), id="burn-in-after-a-chunk-edge"),
+    pytest.param(2, 300, 300, (0.5, 0.5), id="burn-in-at-n"),
+    pytest.param(2, 300, 1000, (0.5, 0.5), id="burn-in-past-n"),
+    pytest.param(2, 0, 0, (0.5, 0.5), id="no-steps"),
+    pytest.param(3, 300, 10, (0.7, 0.0, 0.3), id="a-category-never-wins"),
+    pytest.param(3, 300, 0, (0.6, 0.3, 0.1), id="three-categories"),
+])
+def test_streamed_starvation_equals_the_whole_history_scan(k, n, burn_in, p):
+    # fed at once (longest_starvation) and in 32-step chunks, as a run's
+    # winners come, the tracker gives the one-shot scan's gap
+    rng = np.random.default_rng(burn_in + 1000 * n + 7 * k)
+    for _ in range(20):
+        winners = rng.choice(k, size=n, p=p).astype(np.uint8)
+        want = _starvation_reference(winners, k, burn_in)
+        assert longest_starvation(winners, k, burn_in) == want
+        gaps = harness._StarvationTracker(k, burn_in)
+        for t in range(0, n, 32):
+            gaps.feed(winners[t:t + 32])
+        assert gaps.result() == want
+
+
+def test_non_extinction_reads_the_winners_of_one_run():
+    # across several chunks of the step loop, the streamed check reports
+    # the gap that the whole-history scan finds in the run's stored winners
+    cfg = pair_config(0.1, seed=31)
+    n_steps = 3 * _CHUNK + 5
+    winners = run_trajectory(cfg, n_steps, stride=n_steps, record_winners=True).winners
+    rep = property_non_extinction(cfg, n_steps, window=500)
+    assert rep.stats["max_starvation"] == _starvation_reference(winners, 2, 100)
+    assert rep.stats["burn_in"] == 100.0
+
+
 def test_longest_starvation_counts_gaps():
     assert longest_starvation(np.array([0, 1] * 5), k=2) == 1
     assert longest_starvation(np.zeros(5, dtype=int), k=2) == 5
@@ -850,6 +924,7 @@ def test_theorem_suite_reports_expected_outcomes():
     pytest.param(0.2, 400, 1000, 50, id="shorter-than-stride"),
     pytest.param(1000.0, 401, 30, 50, id="zero-weight"),
     pytest.param(0.1, 8, 4, 2, id="eight-steps"),
+    pytest.param(0.1, 50_001, 1000, 500, id="many-chunks"),
 ])
 def test_theorem_suite_equals_the_standalone_checks(decay_rate, n_steps,
                                                     check_stride, window):
@@ -870,13 +945,13 @@ def test_theorem_suite_equals_the_standalone_checks(decay_rate, n_steps,
 
 def test_theorem_suite_runs_the_decaying_trajectory_once(monkeypatch):
     runs = []
-    real = harness.run_trajectory
+    real = harness._trajectory_blocks
 
-    def counting(config, n_steps, stride=1, **kwargs):
+    def counting(config, n_steps, stride, *args, **kwargs):
         runs.append((config.decay_rate, n_steps, stride))
-        return real(config, n_steps, stride, **kwargs)
+        return real(config, n_steps, stride, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "run_trajectory", counting)
+    monkeypatch.setattr(harness, "_trajectory_blocks", counting)
     n_steps, check_stride = 2050, 100
     theorem_suite(pair_config(0.1, seed=23), n_steps, 500, check_stride)
     decaying = [(n, stride) for lam, n, stride in runs if lam == 0.1]
@@ -885,6 +960,31 @@ def test_theorem_suite_runs_the_decaying_trajectory_once(monkeypatch):
     # check_stride steps, plus one for the run that finishes it
     recorded = sum(n // stride for n, stride in decaying)
     assert recorded <= n_steps // 4 + n_steps // check_stride + 1
+
+
+def _suite_peak(n_steps):
+    # without the zero-decay control, a property_non_convergence run: it
+    # would double the test's time, as tracemalloc slows the step loop
+    # about 20 times
+    tracemalloc.start()
+    try:
+        theorem_suite(pair_config(0.1, seed=29), n_steps, 10_000, 1000,
+                      negative_control=False)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_theorem_suite_memory_does_not_grow_with_n_steps():
+    # the suite stores no winners and no tail weights: only the tail's
+    # means, 4 B per step, grow with n_steps.  The whole histories it kept
+    # before took about 19 B per step, 2.0 MB more at 40 chunks than at 4
+    # under tracemalloc.  The first call builds the step loops outside the trace
+    theorem_suite(pair_config(0.1, seed=29), 8, 4, 4, negative_control=False)
+    short = _suite_peak(4 * _CHUNK)
+    long = _suite_peak(40 * _CHUNK)
+    held = (40 * _CHUNK // 4 + 1) * 2 * 8
+    assert long - short < held + (1 << 20), (short, long)
 
 
 @pytest.mark.parametrize("decay_rate,k,n_steps,window,check_stride,message", [
@@ -911,7 +1011,8 @@ def test_theorem_suite_rejects_its_input_before_running(
     def no_run(*args, **kwargs):
         raise AssertionError("the suite simulated before checking its input")
 
-    monkeypatch.setattr(harness, "run_trajectory", no_run)
+    monkeypatch.setattr(harness, "substream", no_run)
+    monkeypatch.setattr(harness, "_trajectory_blocks", no_run)
     cfg = ModelConfig(k=k, decay_rate=decay_rate, domain=UNIT,
                       init_means=np.linspace(0.2, 0.8, k)[:, None],
                       init_weights=np.ones(k), seed=23)

@@ -177,6 +177,10 @@ def test_limit_total_weight():
     assert limit_total_weight(LN2) == pytest.approx(2.0, abs=1e-15)
     with pytest.raises(ParameterError):
         limit_total_weight(0.0)
+    # 1 / decay_rate overflows below about 5.6e-309
+    assert limit_total_weight(5.6e-309) < math.inf
+    with pytest.raises(ParameterError, match="not finite"):
+        limit_total_weight(1e-320)
 
 
 def test_weight_bound_branches():
