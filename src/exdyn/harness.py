@@ -12,20 +12,19 @@ tagged substreams so they never disturb trajectory draws.
 
 Every single run goes through one engine: a step loop over Python floats
 whose source is generated for the run's shape (k, dim, whether it keeps
-winners, records every step, feeds an exemplar cloud, and decays the
-weights at all) and compiled once per shape.  The generated loop keeps
-every mean coordinate and weight in a local variable, which runs 3.5 to 8
-times as many steps per second as one loop over indexed lists for every
-shape; numba and Cython, which could compile such a loop from one source,
-are not dependencies.  Ensembles of runs of any shape (k, dim) go through
-one lockstep engine, which advances every replica one step per round of
-numpy calls over the replica axis.  Both repeat model._advance's
-arithmetic operation for operation.  The step-reference tests in
-tests/test_harness.py prove it for single runs: across k, dim, boxes,
-decay rates, runs with a cloud and exact ties, every recorded state equals
-iterating model.step on the same draws.  The replay tests prove it for the
-lockstep engine: every row of an ensemble equals run_trajectory on that
-row's stream.
+winners, records every step, and decays the weights at all) and compiled
+once per shape.  The generated loop keeps every mean coordinate and weight
+in a local variable, which runs 3.5 to 8 times as many steps per second as
+one loop over indexed lists for every shape; numba and Cython, which could
+compile such a loop from one source, are not dependencies.  Ensembles of
+runs of any shape (k, dim) go through one lockstep engine, which advances
+every replica one step per round of numpy calls over the replica axis.
+Both repeat model._advance's arithmetic operation for operation.  The
+step-reference tests in tests/test_harness.py prove it for single runs:
+across k, dim, boxes, decay rates, runs with a cloud and exact ties, every
+recorded state equals iterating model.step on the same draws.  The replay
+tests prove it for the lockstep engine: every row of an ensemble equals
+run_trajectory on that row's stream.
 
 _trajectory_blocks draws in chunks of _CHUNK uniform points, mapped onto
 the box by Domain.uniform_points, and hands each chunk to the loop as
@@ -36,8 +35,11 @@ run_trajectory stores them into the record with one slice assignment per
 array, and the trajectory CSV writer formats them as they come, so it
 never holds the record.
 
-A run can be continued from its last state on the generator that made it,
-and the continued states equal those of one uninterrupted run.
+_trajectory_blocks is the one way to start or continue a single run: it
+starts from a flat state (*means.ravel(), *weights), by default the
+config's initial one.  Started from a run's last state on the generator
+that made it, it continues that run, and the continued states equal those
+of one uninterrupted run.
 theorem_suite uses this to run its config once, without building a record:
 it reads the blocks of the run's head, every check_stride-th state, and of
 its last quarter, continued at stride 1, as they come.  A tracker keeps
@@ -46,15 +48,14 @@ stored; the late window keeps the last quarter's means, 4 B per step of the
 run, and counts their moves per chunk.  The non-extinction, non-collapse
 and non-convergence reports are built by the same readers and report code
 as the standalone checks, which each run the trajectory themselves.
-figure1_snapshot runs its head without an exemplar cloud and feeds the
-cloud only from a tail as long as the survivor horizon, the age past which
-an absorbed point weighs no more than the cutoff, so the cloud grows with
-that horizon, not with n_steps.
+figure1_snapshot reads its run the same way, in a head without an
+exemplar cloud and a tail as long as the survivor horizon, the age past
+which an absorbed point weighs no more than the cutoff.  Only the tail
+feeds the cloud, so the cloud grows with that horizon, not with n_steps.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -63,7 +64,8 @@ import numpy as np
 
 from .ar1 import _is_unit_pair, variance_of_Y
 from .errors import ParameterError
-from .geometry import _ASSIGN_CHUNK, assign_cells, centroidal_deviation, min_cell_volume
+from .geometry import (_ASSIGN_CHUNK, _check_input, assign_cells, centroidal_deviation,
+                       min_cell_volume)
 from .model import (
     Domain,
     ExemplarCloud,
@@ -110,17 +112,17 @@ class TrajectoryRecord:
 
 
 @functools.lru_cache(maxsize=64)
-def _step_loop(k, dim, record_winners, every_step, with_cloud, decays):
+def _step_loop(k, dim, record_winners, every_step, decays):
     """Compile the step loop of one run shape from generated source.
 
-    loop(zs, t, stride, decay, state, recs, wins, cloud_add) runs the
-    points zs from ``state``, the flat tuple (*means.ravel(), *weights), t
-    steps into the run.  It extends recs by the state at every stride-th
-    step, appends each winner to wins and returns the new state.  Mean j's
-    coordinate c is the local m{j}_{c} and its weight w{j}.  The arithmetic
-    is _advance's: squared distances summed over the coordinates in order,
-    a running minimum with strict < so ties go to the lower index, every
-    weight decayed, and the winner absorbing the point.
+    loop(zs, t, stride, decay, state, recs, wins) runs the points zs from
+    ``state``, the flat tuple (*means.ravel(), *weights), t steps into the
+    run.  It extends recs by the state at every stride-th step, appends
+    each winner to wins if record_winners, and returns the new state.
+    Mean j's coordinate c is the local m{j}_{c} and its weight w{j}.  The
+    arithmetic is _advance's: squared distances summed over the coordinates
+    in order, a running minimum with strict < so ties go to the lower
+    index, every weight decayed, and the winner absorbing the point.
     Dropping _advance's 0.0 + before the first e * e is exact, as e * e is
     never -0.0, and so is dropping the decay when ``decays`` is false: the
     decay factor is then 1.0 (decay_rate 0, or up to about 5.6e-17), and
@@ -143,8 +145,7 @@ def _step_loop(k, dim, record_winners, every_step, with_cloud, decays):
     def absorb(j):
         return ([f"v = w{j} + 1.0"]
                 + [f"m{j}_{c} = (m{j}_{c} * w{j} + z_{c}) / v" for c in coords]
-                + [f"w{j} = v"] + [f"add_win({j})"] * record_winners
-                + [f"cloud_add({j}, ({z},), t)"] * with_cloud)
+                + [f"w{j} = v"] + [f"add_win({j})"] * record_winners)
 
     def dispatch(lo, hi):
         # a balanced tree of tests on i: log2(k) tests per step, nested as deep
@@ -161,7 +162,7 @@ def _step_loop(k, dim, record_winners, every_step, with_cloud, decays):
         body += distance(0, "best") + ["i = 0"]
         for j in range(1, k):
             body += distance(j, "d") + ["if d < best:", f"    i = {j}", "    best = d"]
-    body += [f"w{j} *= decay" for j in cats if decays] + ["t += 1"] * with_cloud
+    body += [f"w{j} *= decay" for j in cats if decays]
     if k == 2:
         body += ["if d1 < d0:", *indent(absorb(1)), "else:", *indent(absorb(0))]
     else:
@@ -170,7 +171,7 @@ def _step_loop(k, dim, record_winners, every_step, with_cloud, decays):
     if not every_step:
         record = ["left -= 1", "if not left:", "    left = stride", *indent(record)]
 
-    lines = ["def loop(zs, t, stride, decay, state, recs, wins, cloud_add):",
+    lines = ["def loop(zs, t, stride, decay, state, recs, wins):",
              f"    {state} = state",
              "    add_rec, add_win = recs.extend, wins.append",
              "    left = stride - t % stride",
@@ -193,24 +194,32 @@ def _run_length(n_steps, stride):
 
 
 def _trajectory_blocks(config: ModelConfig, n_steps: int, stride: int, rng=None,
-                       record_winners: bool = False, cloud: ExemplarCloud = None):
+                       record_winners: bool = False, cloud: ExemplarCloud = None,
+                       start=None):
     """Run the dynamics, yielding (states, winners) once per chunk of draws.
 
-    n_steps and stride are as _run_length returns them.  states is a (rows,
-    k dim + k) float array of the states recorded in the chunk, each row
-    the flat state (*means.ravel(), *weights); winners is the chunk's array
-    of winning categories, empty unless record_winners, as uint8 up to k =
-    256.  The first yield is the initial state with no winners.  A chunk
+    n_steps and stride are as _run_length returns them.  The run starts
+    from ``start``, a flat state (*means.ravel(), *weights), by default the
+    config's initial state; a state the dynamics reach may hold a weight
+    that decayed to 0.0, which ModelConfig refuses as an initial weight.
+    states is a (rows, k dim + k) float array of the flat states recorded
+    in the chunk; winners is the chunk's array of winning categories,
+    empty unless record_winners or a cloud is given, as uint8 up to k =
+    256.  The first yield is the starting state with no winners.  A chunk
     records no state when the stride is longer than the chunk and no
-    multiple of it falls there.  rng and cloud are run_trajectory's.
+    multiple of it falls there.  rng and cloud are run_trajectory's: each
+    chunk's draws go to the cloud after the loop has run them, in draw
+    order, the point absorbed by this run's t-th step born at step t.
     """
     if rng is None:
         rng = substream(config.seed)
     k, dim = config.init_means.shape  # plain ints, as they go into source
     decay = math.exp(-config.decay_rate)
-    loop = _step_loop(k, dim, record_winners, stride == 1, cloud is not None, decay != 1.0)
-    cloud_add = None if cloud is None else cloud.add
-    state = (*config.init_means.ravel().tolist(), *config.init_weights.tolist())
+    loop = _step_loop(k, dim, record_winners or cloud is not None, stride == 1,
+                      decay != 1.0)
+    if start is None:
+        start = np.append(config.init_means, config.init_weights)
+    state = tuple(start.tolist())
     yield np.array([state]), np.array([], np.uint8)
 
     t = 0
@@ -220,7 +229,10 @@ def _trajectory_blocks(config: ModelConfig, n_steps: int, stride: int, rng=None,
         recs, wins = [], []
         # a 1-D loop takes each draw as a float
         state = loop((zs[:, 0] if dim == 1 else zs).tolist(), t, stride, decay, state,
-                     recs, wins, cloud_add)
+                     recs, wins)
+        if cloud is not None:
+            for birth, (j, z) in enumerate(zip(wins, zs.tolist()), t + 1):
+                cloud.add(j, z, birth)
         # bytes() packs small ints about 3x as fast as numpy converts a list
         yield (np.fromiter(recs, float, len(recs)).reshape(-1, len(state)),
                np.frombuffer(bytes(wins), np.uint8) if k <= 256 else np.array(wins, np.intp))
@@ -235,11 +247,8 @@ def run_trajectory(config: ModelConfig, n_steps: int, stride: int = 1,
     The record always contains the initial state.  With the default rng the
     run is a pure function of config (draws come from the config seed's main
     stream); pass an explicit generator to replay e.g. one ensemble replica.
-    If ``cloud`` is given, every absorbed point is appended to it with the
-    run's own step count as its birth step: the point absorbed by the t-th
-    step of this run is born at step t, whatever state the run started
-    from.  figure1_snapshot relies on this to feed the cloud from a run
-    continued partway through.
+    If ``cloud`` is given, every absorbed point is appended to it, the point
+    absorbed by the t-th step born at step t.
     """
     n_steps, stride = _run_length(n_steps, stride)
     k, dim = config.init_means.shape
@@ -262,31 +271,6 @@ def run_trajectory(config: ModelConfig, n_steps: int, stride: int = 1,
 
     return TrajectoryRecord(config=config, stride=stride, means=rec_means,
                             weights=rec_weights, winners=winners)
-
-
-def _continue_run(record: TrajectoryRecord, n_steps: int, stride: int, rng,
-                  record_winners: bool = False,
-                  cloud: ExemplarCloud = None) -> TrajectoryRecord:
-    """Run n_steps more from the record's last state, drawing from ``rng``.
-
-    Passing the generator the record was made with continues the same
-    stream, so the states equal those of one uninterrupted run.
-    """
-    return run_trajectory(_resumed(record.config, np.append(record.means[-1],
-                                                            record.weights[-1])),
-                          n_steps, stride=stride, rng=rng,
-                          record_winners=record_winners, cloud=cloud)
-
-
-def _resumed(config, state):
-    # a copy of config that starts from the flat state (*means.ravel(),
-    # *weights), set directly because ModelConfig's input checks refuse a
-    # state the dynamics reach: a weight that decayed to 0.0
-    k, dim = config.init_means.shape
-    cont = copy.copy(config)
-    object.__setattr__(cont, "init_means", state[:k * dim].reshape(k, dim))
-    object.__setattr__(cont, "init_weights", state[k * dim:])
-    return cont
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +585,8 @@ def longest_starvation(winners, k: int, burn_in: int = 0) -> int:
     """Longest run of consecutive post-burn-in steps leaving some category
     without a single win.  winners[t] is the winner of update t+1."""
     k = _whole(k, "k must be a whole number")
+    if k < 1:
+        raise ParameterError("k must be at least 1")
     if not burn_in >= 0:
         raise ParameterError("burn_in must be nonnegative")
     burn_in = _whole(burn_in, "burn_in must be a whole number")
@@ -694,6 +680,8 @@ def property_non_collapse(config: ModelConfig, n_steps: int,
     between means over the checked states."""
     if volume_floor is not None and not 0 <= volume_floor < math.inf:
         raise ParameterError("volume_floor must be finite and nonnegative")
+    # the config's means are finite and distinct, so this checks n_samples
+    _check_input(config.init_means, n_samples)
     rec = run_trajectory(config, n_steps, stride=check_stride)
     return _collapse_report(config, n_steps, rec.means, n_samples, volume_floor)
 
@@ -787,7 +775,7 @@ def property_non_convergence(config: ModelConfig, n_steps: int) -> PropertyRepor
     for states, _ in _trajectory_blocks(config, n - tail, n - tail, rng):
         pass
     late = _LateWindow(tail, config.k)
-    for states, _ in _trajectory_blocks(_resumed(config, states[-1]), tail, 1, rng):
+    for states, _ in _trajectory_blocks(config, tail, 1, rng, start=states[-1]):
         late.feed(states)
     return _convergence_report(config, n_steps, late)
 
@@ -861,12 +849,12 @@ def theorem_suite(config: ModelConfig, n_steps: int = 1_000_000,
         gaps.feed(winners)
     if whole < head_len:
         rest = head_len - whole
-        for states, winners in _trajectory_blocks(_resumed(config, states[-1]), rest,
-                                                  rest, rng, record_winners=True):
+        for states, winners in _trajectory_blocks(config, rest, rest, rng,
+                                                  record_winners=True, start=states[-1]):
             gaps.feed(winners)
     late = _LateWindow(tail, config.k)
-    for states, winners in _trajectory_blocks(_resumed(config, states[-1]), tail, 1,
-                                              rng, record_winners=True):
+    for states, winners in _trajectory_blocks(config, tail, 1, rng, record_winners=True,
+                                              start=states[-1]):
         late.feed(states)
         gaps.feed(winners)
 
@@ -983,11 +971,12 @@ def figure1_snapshot(config: ModelConfig, n_steps: int,
 
     Only the exemplars absorbed in the run's last steps can survive the
     cutoff, so only those are kept: the run's head goes unrecorded and
-    without a cloud, and its tail continues on the same stream and feeds
-    the cloud.  The tail counts its births from its own first step, so the
-    initial exemplars are born at -(length of the head) and the cloud is
-    read at the tail's length: every age, and so every weight and every
-    row, equals that of one run feeding the cloud from step 0.
+    without a cloud, and its tail continues from the head's last state on
+    the same stream and feeds the cloud.  The means and weights are the
+    tail's last state.  The tail counts its births from its own first step,
+    so the initial exemplars are born at -(length of the head) and the
+    cloud is read at the tail's length: every age, and so every weight and
+    every row, equals that of one run feeding the cloud from step 0.
     """
     if config.domain.dim != 2:
         raise ParameterError("snapshots are defined for 2-D configs")
@@ -997,20 +986,27 @@ def figure1_snapshot(config: ModelConfig, n_steps: int,
     if grid_resolution < 2:
         raise ParameterError("grid_resolution must be at least 2")
     n_steps, _ = _run_length(n_steps, 1)
+    k = config.k
+    if scatter_points is not None and (np.ndim(scatter_points) != 3
+                                       or np.shape(scatter_points)[::2] != (k, 2)):
+        raise ParameterError(f"scatter_points must have shape ({k}, count, 2)")
     tail = _survivor_horizon(n_steps, config.decay_rate, prune_threshold)
     head_len = n_steps - tail
     if scatter_points is None:
         points, weights = config.init_means[:, None, :], config.init_weights[:, None]
     else:
         points, weights = scatter_points, np.ones(scatter_points.shape[:2])
-    cloud = ExemplarCloud(config.k, 2)
-    for j in range(config.k):
+    cloud = ExemplarCloud(k, 2)
+    for j in range(k):
         cloud.seed_category(j, points[j], weights[j], birth_step=-head_len)
     rng = substream(config.seed)
-    head = run_trajectory(config, head_len, stride=max(1, head_len), rng=rng)
-    rec = _continue_run(head, tail, max(1, tail), rng, cloud=cloud)
+    for head, _ in _trajectory_blocks(config, head_len, max(1, head_len), rng):
+        pass
+    for states, _ in _trajectory_blocks(config, tail, max(1, tail), rng, cloud=cloud,
+                                        start=head[-1]):
+        pass
     kept = cloud.pruned(tail, config.decay_rate, prune_threshold)
-    means = rec.means[-1]
+    means = states[-1, :2 * k].reshape(k, 2)
     return SnapshotResult(
         step=n_steps,
         positions=np.concatenate([locs for locs, _ in kept]),
@@ -1018,7 +1014,7 @@ def figure1_snapshot(config: ModelConfig, n_steps: int,
         categories=np.concatenate(
             [np.full(locs.shape[0], j, dtype=np.int64) for j, (locs, _) in enumerate(kept)]),
         means=means,
-        category_weights=rec.weights[-1],
+        category_weights=states[-1, 2 * k:],
         boundary_segments=_grid_boundary_segments(means, config.domain, grid_resolution),
         prune_threshold=float(prune_threshold),
     )

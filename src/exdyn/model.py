@@ -348,11 +348,6 @@ class ExemplarCloud:
         self._weights0[category].append(1.0)
         self._births[category].append(int(birth_step))
 
-    def size(self, category: int = None) -> int:
-        if category is None:
-            return sum(len(v) for v in self._locations)
-        return len(self._locations[category])
-
     def category_arrays(self, category: int, now: int, decay_rate: float):
         """(locations, current weights) for one category at step ``now``."""
         locs = np.array(self._locations[category], dtype=np.float64).reshape(-1, self.dim)
@@ -360,18 +355,6 @@ class ExemplarCloud:
         births = np.array(self._births[category], dtype=np.int64)
         ages = now - births
         return locs, w0 * np.exp(-decay_rate * ages)
-
-    def weighted_means(self, now: int, decay_rate: float):
-        """Per-category weighted mean and total weight of the full cloud."""
-        means = np.full((self.k, self.dim), np.nan)
-        totals = np.zeros(self.k)
-        for j in range(self.k):
-            locs, w = self.category_arrays(j, now, decay_rate)
-            if locs.shape[0] == 0:
-                continue
-            totals[j] = w.sum()
-            means[j] = (locs * w[:, None]).sum(axis=0) / totals[j]
-        return means, totals
 
     def pruned(self, now: int, decay_rate: float, threshold: float):
         """Per-category (locations, weights) with current weight > threshold."""

@@ -130,6 +130,10 @@ def test_closed_forms_reject_nonpositive_decay():
                  id="simulate-nan-steps"),
     pytest.param(lambda: longest_starvation(np.zeros(5, np.uint8), 2.5), "whole number",
                  id="starvation-fractional-k"),
+    pytest.param(lambda: longest_starvation(np.zeros(5, np.uint8), 0), "k must be at least 1",
+                 id="starvation-zero-k"),
+    pytest.param(lambda: longest_starvation(np.zeros(5, np.uint8), -1), "k must be at least 1",
+                 id="starvation-negative-k"),
     pytest.param(lambda: property_non_collapse(unit_pair(0.1), 100, volume_floor=math.nan),
                  "volume_floor", id="collapse-nan-floor"),
     pytest.param(lambda: property_non_collapse(unit_pair(0.1), 100, volume_floor=-1.0),

@@ -157,15 +157,16 @@ def test_run_trajectory_matches_step_reference(k, dim, decay_rate, lower, span,
     assert_replays_step(cfg, rec, n_steps)
 
 
-def assert_replays_step(cfg, rec, n_steps, rng=None):
+def assert_replays_step(cfg, rec, n_steps, rng=None, start=None):
     """rec holds every rec.stride-th state, and every winner if it kept
-    them, of iterating model.step from the config's state on sample(...)
-    draws from ``rng`` (by default the config's stream); returns the
-    draws."""
+    them, of iterating model.step from ``start`` (by default the config's
+    state) on sample(...) draws from ``rng`` (by default the config's
+    stream); returns the draws."""
     stride = rec.stride
     assert np.array_equal(rec.steps, np.arange(0, n_steps + 1, stride))
     g = substream(cfg.seed) if rng is None else rng
-    state = SystemState(cfg.init_means.copy(), cfg.init_weights.copy())
+    state = (SystemState(cfg.init_means.copy(), cfg.init_weights.copy())
+             if start is None else start)
     draws = []
     for t in range(n_steps + 1):
         if t:
@@ -220,12 +221,19 @@ def test_continued_run_from_a_weight_decayed_to_zero_matches_step_reference(k, d
     # a continued run starts from that state, which ModelConfig refuses
     cfg = box_config(k, dim, 1000.0, seed=5, init_key=0)
     g = substream(cfg.seed)
-    head = run_trajectory(cfg, 40, stride=40, rng=g)
-    assert 0.0 in head.weights[-1]
-    rec = harness._continue_run(head, 300, 7, g, record_winners=True)
+    *_, (head, _) = harness._trajectory_blocks(cfg, 40, 40, g)
+    start = head[-1]
+    assert 0.0 in start[k * dim:]
+    blocks = list(harness._trajectory_blocks(cfg, 300, 7, g, record_winners=True,
+                                             start=start))
+    states = np.concatenate([block for block, _ in blocks])
+    rec = harness.TrajectoryRecord(cfg, 7, states[:, :k * dim].reshape(-1, k, dim),
+                                   states[:, k * dim:],
+                                   np.concatenate([wins for _, wins in blocks]))
     rest = substream(cfg.seed)
     rest.random((40, dim))  # the head's draws
-    assert_replays_step(rec.config, rec, 300, rng=rest)
+    assert_replays_step(cfg, rec, 300, rng=rest,
+                        start=SystemState(start[:k * dim].reshape(k, dim), start[k * dim:]))
 
 
 def test_each_run_shape_builds_its_loop_once():
@@ -273,18 +281,19 @@ def test_identity_decay_matches_step_reference(k, dim):
     assert states[n_steps][1].sum(axis=1) == pytest.approx([total] * 3, rel=1e-12)
 
 
-def test_cloud_run_matches_step_reference():
-    # with a cloud the loop hands every draw to the cloud with birth step t
-    # for the t-th update
-    cfg = pair_config(0.05, seed=13)
-    cloud = ExemplarCloud(2, 1)
-    n = 600
+@pytest.mark.parametrize("k,dim", [(2, 1), (4, 2)])
+def test_cloud_run_matches_step_reference(k, dim):
+    # with a cloud every draw goes to its winner's category with birth step
+    # t for the t-th update; 2 chunks and 3 draws cross the chunk edge twice,
+    # where a wrong per-chunk birth offset would show
+    cfg = box_config(k, dim, 0.05, seed=13, init_key=k)
+    cloud = ExemplarCloud(k, dim)
+    n = 2 * _CHUNK + 3
     rec = run_trajectory(cfg, n, stride=1, record_winners=True, cloud=cloud)
     draws = np.array(assert_replays_step(cfg, rec, n))
-    assert cloud.size() == n
-    for j in range(2):
+    for j in range(k):
         won = np.flatnonzero(rec.winners == j)
-        assert won.size > 0
+        assert won[0] < _CHUNK <= won[-1]
         locs, _ = cloud.category_arrays(j, n, cfg.decay_rate)
         assert np.array_equal(locs, draws[won])
         assert cloud._births[j] == (won + 1).tolist()
@@ -417,10 +426,12 @@ def test_trajectory_cloud_reproduces_state():
         cloud.seed_category(j, cfg.init_means[j][None, :],
                             [cfg.init_weights[j]], birth_step=0)
     rec = run_trajectory(cfg, 2000, stride=2000, cloud=cloud)
-    means, totals = cloud.weighted_means(2000, 0.05)
-    np.testing.assert_allclose(means, rec.means[-1], rtol=1e-9)
-    np.testing.assert_allclose(totals, rec.weights[-1], rtol=1e-9)
-    assert cloud.size() == 3 + 2000
+    kept = cloud.pruned(2000, 0.05, 0.0)
+    assert sum(len(locs) for locs, _ in kept) == 3 + 2000
+    for j, (locs, w) in enumerate(kept):
+        np.testing.assert_allclose((locs * w[:, None]).sum(axis=0) / w.sum(),
+                                   rec.means[-1, j], rtol=1e-9)
+        np.testing.assert_allclose(w.sum(), rec.weights[-1, j], rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -846,6 +857,20 @@ def test_non_collapse_sample_count_must_be_a_whole_number():
         property_non_collapse(pair_config(0.1, seed=12), 2000, n_samples=10.5)
 
 
+@pytest.mark.parametrize("n_samples,message", [
+    (0, "at least 1"), (-1, "at least 1"), (2.5, "a whole number"), (math.nan, "a whole number"),
+])
+def test_non_collapse_checks_its_sample_count_before_running(monkeypatch, n_samples,
+                                                              message):
+    # a bad sample count was refused only after the whole trajectory had run
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated before checking the sample count")
+
+    monkeypatch.setattr(harness, "run_trajectory", no_run)
+    with pytest.raises(GeometryError, match=f"n_samples must be {message}"):
+        property_non_collapse(pair_config(0.1, seed=12), 2000, n_samples=n_samples)
+
+
 def test_properties_fail_when_doctored():
     cfg = pair_config(0.1, seed=12)
     assert not property_non_extinction(cfg, 20000, window=2).passed
@@ -1043,13 +1068,17 @@ def test_snapshot_requires_2d():
     pytest.param({"grid_resolution": math.nan}, "grid_resolution", id="nan-grid"),
     pytest.param({"grid_resolution": math.inf}, "grid_resolution", id="inf-grid"),
     pytest.param({"grid_resolution": 2.5}, "grid_resolution", id="fractional-grid"),
+    pytest.param({"scatter_points": np.zeros((1, 3, 2))}, r"scatter_points must have "
+                 r"shape \(2, count, 2\)", id="scatter-of-another-k"),
 ])
 def test_snapshot_rejects_bad_threshold_and_grid(monkeypatch, kwargs, message):
-    # int() read 2.5 as 2 and raised OverflowError on inf, after the run
+    # int() read 2.5 as 2 and raised OverflowError on inf, after the run,
+    # and scatter points of another shape raised IndexError
     def no_run(*args, **kwargs):
         raise AssertionError("the snapshot simulated before checking its input")
 
-    monkeypatch.setattr(harness, "run_trajectory", no_run)
+    monkeypatch.setattr(harness, "_trajectory_blocks", no_run)
+    monkeypatch.setattr(harness, "substream", no_run)
     with pytest.raises(ParameterError, match=message):
         figure1_snapshot(snapshot_config(0.1), 10, **kwargs)
 

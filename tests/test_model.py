@@ -393,8 +393,6 @@ def test_cloud_decays_weights_lazily():
     locs, w = cloud.category_arrays(0, now=3, decay_rate=0.5)
     assert np.array_equal(locs, [[0.2], [0.6]])
     assert np.array_equal(w, [3.0 * np.exp(-0.5 * 3), 1.0 * np.exp(-0.5 * 2)])
-    assert cloud.size() == 2
-    assert cloud.size(0) == 2
 
 
 def test_cloud_add_keeps_a_copy():
@@ -416,7 +414,7 @@ def test_cloud_add_rejects_a_location_of_another_length():
             cloud.add(0, location, birth_step=1)
     with pytest.raises(ParameterError, match="expected 2"):
         cloud.seed_category(0, np.ones((2, 3)), [1.0, 1.0])
-    assert cloud.size() == 0
+    assert cloud.category_arrays(0, 1, 0.0)[0].shape == (0, 2)
 
 
 def test_cloud_seed_rejects_a_count_mismatch():
@@ -425,7 +423,7 @@ def test_cloud_seed_rejects_a_count_mismatch():
         with pytest.raises(ParameterError,
                            match=f"3 locations need as many weights, got {len(weights)}"):
             cloud.seed_category(0, np.ones((3, 2)), weights)
-    assert cloud.size() == 0
+    assert cloud.category_arrays(0, 0, 0.0)[0].shape == (0, 2)
 
 
 def test_cloud_pruning_drops_light_exemplars():
@@ -439,10 +437,11 @@ def test_cloud_pruning_drops_light_exemplars():
     assert np.array_equal(kept[1][0], [[0.8]])
 
 
-def test_cloud_weighted_means_empty_category_is_nan():
+def test_cloud_empty_category_reads_as_empty_arrays():
     cloud = ExemplarCloud(k=2, dim=1)
     cloud.add(0, [0.4], birth_step=0)
-    means, totals = cloud.weighted_means(now=0, decay_rate=0.1)
-    assert means[0, 0] == 0.4
-    assert np.isnan(means[1, 0])
-    assert totals[1] == 0.0
+    locs, w = cloud.category_arrays(1, now=0, decay_rate=0.1)
+    assert locs.shape == (0, 1) and w.shape == (0,)
+    kept = cloud.pruned(now=0, decay_rate=0.1, threshold=0.0)
+    assert np.array_equal(kept[0][0], [[0.4]]) and np.array_equal(kept[0][1], [1.0])
+    assert kept[1][0].shape == (0, 1) and kept[1][1].shape == (0,)
