@@ -3,13 +3,15 @@
 Cell volumes and centroids are estimated by classifying uniform points, so
 they work in any dimension; exact 1-D formulas live in the tests as oracles.
 
-The kernel works on blocks of _ASSIGN_CHUNK points and never builds a
-(points, k, dim) array.  ``assign_cells`` loops over the categories and
-keeps a running minimum of the squared distances, and ``cell_stats`` adds
-each cell's points one after another.  Both are written so that every label
-and every sum is the same, bit for bit, as a broadcast ``argmin`` and an
-``np.add.at`` over all points at once (tests/test_geometry.py keeps those
-as the reference).
+The kernel works on blocks of _ASSIGN_CHUNK = 8192 points, whose work
+buffers are 64 KB each, and never builds a (points, k, dim) array.
+``assign_cells`` loops over the categories and keeps a running minimum of
+the squared distances, and ``cell_stats`` adds each cell's points one after
+another.  Both are written so that every label and every sum is the same,
+bit for bit, as a broadcast ``argmin`` and an ``np.add.at`` over all points
+at once (tests/test_geometry.py keeps those as the reference).  The
+snapshot's boundary grid (harness._grid_boundary_segments) is classified a
+block of whole grid rows at a time and keeps only where the labels change.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import GeometryError
 from .model import Domain, _as_points, _coincident_pair
 
-_ASSIGN_CHUNK = 1 << 16
+_ASSIGN_CHUNK = 1 << 13
 
 
 @dataclass
@@ -52,8 +54,10 @@ def assign_cells(points, means) -> np.ndarray:
     is strictly below its running minimum, so a tie stays with the lower
     index, as with argmin.  The move is branch-free: labels = max(labels,
     i * less), which is exact as every label is below i when category i is
-    tried.  The buffers are allocated once per call, so the memory is
-    O(_ASSIGN_CHUNK) whatever k, dim and the number of points.
+    tried.  The buffers are allocated once per call, three float arrays of
+    min(len(points), _ASSIGN_CHUNK) rows, 64 KB each at most, so beside the
+    labels the memory is O(_ASSIGN_CHUNK) whatever k, dim and the number of
+    points.
 
     The means must be finite (GeometryError otherwise).  A row's distances
     are then all NaN (a NaN coordinate, label 0) or free of NaN, and the

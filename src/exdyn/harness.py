@@ -52,6 +52,8 @@ figure1_snapshot reads its run the same way, in a head without an
 exemplar cloud and a tail as long as the survivor horizon, the age past
 which an absorbed point weighs no more than the cutoff.  Only the tail
 feeds the cloud, so the cloud grows with that horizon, not with n_steps.
+Its cell boundaries are traced on a grid classified a few rows at a time,
+keeping only where the labels change, so no grid-sized array is held.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ar1 import _is_unit_pair, variance_of_Y
-from .errors import ParameterError
+from .errors import DomainError, ParameterError
 from .geometry import (_ASSIGN_CHUNK, _check_input, assign_cells, centroidal_deviation,
                        min_cell_volume)
 from .model import (
@@ -86,6 +88,8 @@ MOVEMENT_EPSILON = 1e-4
 _FRACTION_FLOOR = 0.5
 _COLLAPSE_SAMPLES = 4096
 _CVT_SAMPLES = 1 << 18
+# rows of squared deviations _column_variance makes at a time
+_VAR_SLICE = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -717,7 +721,8 @@ class _LateWindow:
     """The unit pair's means over a run's last steps, fed chunk by chunk.
 
     np.var rounds in two passes, so it cannot be streamed bit for bit: the
-    window holds its states' means, (tail + 1, k) floats, for one var call.
+    window holds its states' means, (tail + 1, k) floats, for one
+    _column_variance call.
     The steps that moved each mean by more than MOVEMENT_EPSILON are counted
     per chunk as exact integers, each chunk from the last state before it.
     """
@@ -737,9 +742,32 @@ class _LateWindow:
         self.moves += (np.abs(steps) > MOVEMENT_EPSILON).sum(axis=0)
 
 
+def _column_variance(a) -> np.ndarray:
+    """a.var(axis=0) of a C-contiguous (n, k) float array, k >= 2, bit for
+    bit, without the (n, k) temporary of deviations np.var makes.
+
+    np.var takes the mean as np.add.reduce(a, axis=0) / n, then adds the
+    squared deviations with an axis-0 reduce.  With k >= 2 columns numpy
+    adds such a reduce row after row, so the squares can be made
+    _VAR_SLICE rows at a time into one buffer whose row 0 carries the
+    running total, and each slice reduced together with it.  (A single
+    column would be summed pairwise, in another order.)
+    """
+    n = len(a)
+    mean = np.add.reduce(a, axis=0) / n
+    buf = np.zeros((min(n, _VAR_SLICE) + 1, a.shape[1]))
+    for start in range(0, n, _VAR_SLICE):
+        rows = a[start:start + _VAR_SLICE]
+        sq = buf[1:1 + len(rows)]
+        np.subtract(rows, mean, out=sq)
+        np.multiply(sq, sq, out=sq)
+        buf[0] = np.add.reduce(buf[:1 + len(rows)], axis=0)
+    return buf[0] / n
+
+
 def _convergence_report(config, n_steps, late) -> PropertyReport:
     # late: the _LateWindow of the last n_steps // 4 steps
-    late_var = late.means.var(axis=0)
+    late_var = _column_variance(late.means)
     move_freq = late.moves / (len(late.means) - 1)
     floor = variance_floor(config.decay_rate)
     passed = bool(np.all(late_var > floor) and np.all(move_freq > 0.0))
@@ -909,25 +937,33 @@ def _grid_boundary_segments(means, domain, resolution: int) -> np.ndarray:
     cx = lo[0] + (np.arange(resolution) + 0.5) * dx
     cy = lo[1] + (np.arange(resolution) + 0.5) * dy
     # grid row i holds the points (cx[i], cy[j]); whole rows, at most
-    # _ASSIGN_CHUNK points, are classified at a time from one reused buffer
+    # _ASSIGN_CHUNK points, are classified at a time from one reused buffer.
+    # Only the (i, j) of label changes are kept, between rows i and i + 1
+    # (across) and between j and j + 1 within row i (along), in row-major
+    # order; the last label row of the block before is kept for the pair
+    # that spans the block edge, so the label grid is never held whole
     rows = max(1, _ASSIGN_CHUNK // resolution)
     block = np.empty((min(rows, resolution), resolution, 2))
     block[:, :, 1] = cy
-    labels = np.empty((resolution, resolution), dtype=np.intp)
+    across, along = [], []
     for start in range(0, resolution, rows):
         x = cx[start:start + rows]
         block[:len(x), :, 0] = x[:, None]
-        labels[start:start + len(x)] = assign_cells(
-            block[:len(x)].reshape(-1, 2), means).reshape(len(x), resolution)
+        labels = assign_cells(block[:len(x)].reshape(-1, 2), means).reshape(len(x), resolution)
+        if start:
+            across.append(_label_changes(last, labels[:1], start - 1))
+        across.append(_label_changes(labels[:-1], labels[1:], start))
+        along.append(_label_changes(labels[:, :-1], labels[:, 1:], start))
+        last = labels[-1:].copy()
 
     pieces = []
-    ii, jj = np.nonzero(labels[1:, :] != labels[:-1, :])
+    ii, jj = map(np.concatenate, zip(*across))
     if ii.size:
         x = lo[0] + (ii + 1.0) * dx
         y0 = lo[1] + jj * dy
         pieces.append(np.stack([np.stack([x, y0], axis=1),
                                 np.stack([x, y0 + dy], axis=1)], axis=1))
-    ii, jj = np.nonzero(labels[:, 1:] != labels[:, :-1])
+    ii, jj = map(np.concatenate, zip(*along))
     if ii.size:
         y = lo[1] + (jj + 1.0) * dy
         x0 = lo[0] + ii * dx
@@ -936,6 +972,12 @@ def _grid_boundary_segments(means, domain, resolution: int) -> np.ndarray:
     if not pieces:
         return np.zeros((0, 2, 2))
     return np.concatenate(pieces)
+
+
+def _label_changes(a, b, first_row):
+    # (i, j) where a[i, j] != b[i, j], with i counted from first_row
+    ii, jj = np.nonzero(a != b)
+    return ii + first_row, jj
 
 
 def _survivor_horizon(n_steps, decay_rate, threshold) -> int:
@@ -965,9 +1007,10 @@ def figure1_snapshot(config: ModelConfig, n_steps: int,
     the cell boundaries traced on a classification grid.
 
     ``scatter_points`` (k, count, 2) are the exemplars a scatter-initialized
-    config starts from, each of weight 1.  Without them the initial mass of
-    each category is a single lumped exemplar at its starting mean, which
-    decays exactly like the individual points it stands for.
+    config starts from, each of weight 1; they must be finite and inside
+    the domain.  Without them the initial mass of each category is a single
+    lumped exemplar at its starting mean, which decays exactly like the
+    individual points it stands for.
 
     Only the exemplars absorbed in the run's last steps can survive the
     cutoff, so only those are kept: the run's head goes unrecorded and
@@ -987,9 +1030,13 @@ def figure1_snapshot(config: ModelConfig, n_steps: int,
         raise ParameterError("grid_resolution must be at least 2")
     n_steps, _ = _run_length(n_steps, 1)
     k = config.k
-    if scatter_points is not None and (np.ndim(scatter_points) != 3
-                                       or np.shape(scatter_points)[::2] != (k, 2)):
-        raise ParameterError(f"scatter_points must have shape ({k}, count, 2)")
+    if scatter_points is not None:
+        if np.ndim(scatter_points) != 3 or np.shape(scatter_points)[::2] != (k, 2):
+            raise ParameterError(f"scatter_points must have shape ({k}, count, 2)")
+        if not np.isfinite(scatter_points).all():
+            raise ParameterError("scatter_points must be finite")
+        if not config.domain.contains(scatter_points):
+            raise DomainError("scatter_points must lie inside the domain")
     tail = _survivor_horizon(n_steps, config.decay_rate, prune_threshold)
     head_len = n_steps - tail
     if scatter_points is None:

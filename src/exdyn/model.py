@@ -319,8 +319,16 @@ class ExemplarCloud:
         self._weights0 = [[] for _ in range(k)]
         self._births = [[] for _ in range(k)]
 
+    def _index(self, category) -> int:
+        # a negative list index would file the points under another category
+        c = _whole(category, "category must be a whole number")
+        if not 0 <= c < self.k:
+            raise ParameterError(f"category must lie in [0, {self.k}), got {c}")
+        return c
+
     def seed_category(self, category: int, locations, weights, birth_step: int = 0):
         """Register pre-existing exemplars for one category."""
+        category = self._index(category)
         locations = _as_points(locations, self.dim)
         if locations.shape[1] != self.dim:
             raise ParameterError(
@@ -340,6 +348,7 @@ class ExemplarCloud:
         Stores an immutable copy, so later changes to ``location`` do not
         reach the cloud.
         """
+        category = self._index(category)
         location = tuple(location)
         if len(location) != self.dim:
             raise ParameterError(

@@ -20,6 +20,7 @@ from exdyn import (
     min_cell_volume,
     substream,
 )
+from exdyn import geometry
 
 UNIT = Domain(np.array([0.0]), np.array([1.0]))
 SQUARE = Domain(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
@@ -28,7 +29,7 @@ SQUARE = Domain(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
 # counting errors sit near 3 * 0.5 / sqrt(2e5) ~ 0.003; 0.01 is comfortable.
 N = 200_000
 TOL = 0.01
-BLOCK = 1 << 16  # geometry._ASSIGN_CHUNK
+BLOCK = geometry._ASSIGN_CHUNK
 
 
 def reference_labels(points, means):
@@ -107,9 +108,10 @@ def test_assign_cells_ties_go_to_the_lower_index():
 
 
 @pytest.mark.parametrize("k, dim", [(1, 1), (4, 2), (3, 3), (12, 1)])
-@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
+                               8 * BLOCK - 1, 8 * BLOCK, 8 * BLOCK + 1])
 def test_assign_cells_matches_the_broadcast_argmin(k, dim, n):
-    # block edges.  The means are distinct points of the 1/16 lattice and
+    # block edges, after one block and after eight.  The means are distinct points of the 1/16 lattice and
     # half the points lie on the 1/32 lattice, so many sit on bisectors
     rng = substream(60, k, dim, n)
     cells = rng.choice(17**dim, size=k, replace=False)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from exdyn import harness
 from exdyn import (
     Domain,
+    DomainError,
     EnsembleEstimate,
     ExemplarCloud,
     GeometryError,
@@ -40,6 +41,7 @@ from exdyn import (
 )
 from exdyn.harness import (
     _CHUNK,
+    _VAR_SLICE,
     MOVEMENT_EPSILON,
     _estimate,
     _grid_boundary_segments,
@@ -896,6 +898,19 @@ def test_non_convergence_reads_the_tail_of_one_run(decay_rate, n_steps):
                          "decay_rate": decay_rate, "n_steps": float(n_steps)}
 
 
+@pytest.mark.parametrize("n", [1, 2, _VAR_SLICE - 1, _VAR_SLICE, _VAR_SLICE + 1, 250_001])
+@pytest.mark.parametrize("constant", [False, True], ids=["varying", "constant-column"])
+def test_column_variance_is_np_var_bit_for_bit(n, constant):
+    # the late window's shape, (n, 2) C-contiguous; 250_001 rows is the
+    # window of a 1e6-step run.  Means near 0.25 and 0.75 with small moves,
+    # as the unit pair's, and a column of another scale
+    rng = np.random.default_rng(n)
+    a = np.empty((n, 2))
+    a[:, 0] = 0.25 + 1e-3 * rng.standard_normal(n)
+    a[:, 1] = 0.75 if constant else 1e4 * rng.random(n)
+    assert np.array_equal(harness._column_variance(a), a.var(axis=0))
+
+
 def test_non_convergence_rejects_other_models():
     cfg = ModelConfig(k=2, decay_rate=0.1,
                       domain=Domain(np.array([0.0]), np.array([2.0])),
@@ -1059,28 +1074,60 @@ def test_snapshot_requires_2d():
         figure1_snapshot(pair_config(0.1, seed=7), 100)
 
 
-@pytest.mark.parametrize("kwargs,message", [
-    pytest.param({"prune_threshold": math.nan}, "prune_threshold", id="nan-threshold"),
-    pytest.param({"prune_threshold": -0.5}, "prune_threshold", id="negative-threshold"),
-    pytest.param({"grid_resolution": 0}, "grid_resolution", id="zero-grid"),
-    pytest.param({"grid_resolution": -3}, "grid_resolution", id="negative-grid"),
-    pytest.param({"grid_resolution": 1}, "grid_resolution", id="one-cell-grid"),
-    pytest.param({"grid_resolution": math.nan}, "grid_resolution", id="nan-grid"),
-    pytest.param({"grid_resolution": math.inf}, "grid_resolution", id="inf-grid"),
-    pytest.param({"grid_resolution": 2.5}, "grid_resolution", id="fractional-grid"),
-    pytest.param({"scatter_points": np.zeros((1, 3, 2))}, r"scatter_points must have "
-                 r"shape \(2, count, 2\)", id="scatter-of-another-k"),
+def _scatter(value, at=(1, 2, 0)):
+    # scatter points for snapshot_config, all at the box centre but one
+    # coordinate
+    points = np.full((2, 3, 2), 0.5)
+    points[at] = value
+    return points
+
+
+@pytest.mark.parametrize("kwargs,error,message", [
+    pytest.param({"prune_threshold": math.nan}, ParameterError, "prune_threshold",
+                 id="nan-threshold"),
+    pytest.param({"prune_threshold": -0.5}, ParameterError, "prune_threshold",
+                 id="negative-threshold"),
+    pytest.param({"grid_resolution": 0}, ParameterError, "grid_resolution", id="zero-grid"),
+    pytest.param({"grid_resolution": -3}, ParameterError, "grid_resolution",
+                 id="negative-grid"),
+    pytest.param({"grid_resolution": 1}, ParameterError, "grid_resolution",
+                 id="one-cell-grid"),
+    pytest.param({"grid_resolution": math.nan}, ParameterError, "grid_resolution",
+                 id="nan-grid"),
+    pytest.param({"grid_resolution": math.inf}, ParameterError, "grid_resolution",
+                 id="inf-grid"),
+    pytest.param({"grid_resolution": 2.5}, ParameterError, "grid_resolution",
+                 id="fractional-grid"),
+    pytest.param({"scatter_points": np.zeros((1, 3, 2))}, ParameterError,
+                 r"scatter_points must have shape \(2, count, 2\)", id="scatter-of-another-k"),
+    pytest.param({"scatter_points": _scatter(math.nan)}, ParameterError,
+                 "scatter_points must be finite", id="nan-scatter-point"),
+    pytest.param({"scatter_points": _scatter(-math.inf, at=(0, 0, 1))}, ParameterError,
+                 "scatter_points must be finite", id="infinite-scatter-point"),
+    pytest.param({"scatter_points": _scatter(1.5)}, DomainError,
+                 "scatter_points must lie inside the domain", id="scatter-point-above-the-box"),
+    pytest.param({"scatter_points": _scatter(-1e-9, at=(0, 1, 1))}, DomainError,
+                 "scatter_points must lie inside the domain", id="scatter-point-below-the-box"),
 ])
-def test_snapshot_rejects_bad_threshold_and_grid(monkeypatch, kwargs, message):
+def test_snapshot_rejects_bad_threshold_and_grid(monkeypatch, kwargs, error, message):
     # int() read 2.5 as 2 and raised OverflowError on inf, after the run,
-    # and scatter points of another shape raised IndexError
+    # scatter points of another shape raised IndexError, and a NaN or an
+    # outside scatter point was run and reported among the exemplars
     def no_run(*args, **kwargs):
         raise AssertionError("the snapshot simulated before checking its input")
 
     monkeypatch.setattr(harness, "_trajectory_blocks", no_run)
     monkeypatch.setattr(harness, "substream", no_run)
-    with pytest.raises(ParameterError, match=message):
+    with pytest.raises(error, match=message):
         figure1_snapshot(snapshot_config(0.1), 10, **kwargs)
+
+
+def test_snapshot_takes_scatter_points_on_the_box_edge():
+    points = _scatter(1.0)
+    points[0, 0] = [0.0, 0.0]
+    snap = figure1_snapshot(snapshot_config(0.1), 10, prune_threshold=0.0,
+                            scatter_points=points, grid_resolution=8)
+    assert {(0.0, 0.0), (1.0, 0.5)} <= {tuple(p) for p in snap.positions.tolist()}
 
 
 def test_snapshot_prunes_decayed_exemplars():
@@ -1219,17 +1266,43 @@ def _reference_grid_segments(means, domain, resolution):
     return np.concatenate(pieces)
 
 
-@pytest.mark.parametrize("resolution", [2, 3, 255, 512, 1000])
+# a non-unit square box has the same centres on both axes, so every
+# diagonal centre (c, c) is exactly as far from (a, b) as from (b, a): the
+# bisector of means 0 and 1 runs through grid centres at every resolution,
+# and those ties go to mean 0
+TIE_BOX = Domain(np.array([-1.5, -1.5]), np.array([2.5, 2.5]))
+TIE_MEANS = np.array([[0.3, 1.9], [1.9, 0.3], [-1.0, -1.2]])
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 255, 512, 700, 1000])
 def test_grid_boundary_segments_match_the_whole_grid(resolution):
-    # a non-unit square box has the same centres on both axes, so every
-    # diagonal centre (c, c) is exactly as far from (a, b) as from (b, a):
-    # the bisector of means 0 and 1 runs through grid centres at every
-    # resolution, and those ties go to mean 0
-    box = Domain(np.array([-1.5, -1.5]), np.array([2.5, 2.5]))
-    means = np.array([[0.3, 1.9], [1.9, 0.3], [-1.0, -1.2]])
-    segs = _grid_boundary_segments(means, box, resolution)
+    # 700 takes 11 rows per block and leaves a 7-row tail
+    segs = _grid_boundary_segments(TIE_MEANS, TIE_BOX, resolution)
     assert segs.dtype == np.float64
-    assert np.array_equal(segs, _reference_grid_segments(means, box, resolution))
+    assert np.array_equal(segs, _reference_grid_segments(TIE_MEANS, TIE_BOX, resolution))
+
+
+@pytest.mark.parametrize("resolution", [64, 65, 255])
+def test_grid_boundary_segments_in_one_row_blocks(monkeypatch, resolution):
+    # 64 points a block hold one grid row from resolution 64 on, so every
+    # pair of neighbouring rows spans a block edge
+    monkeypatch.setattr(harness, "_ASSIGN_CHUNK", 64)
+    segs = _grid_boundary_segments(TIE_MEANS, TIE_BOX, resolution)
+    assert np.array_equal(segs, _reference_grid_segments(TIE_MEANS, TIE_BOX, resolution))
+
+
+def test_grid_boundary_segments_memory_does_not_grow_with_the_grid():
+    # the label grid alone is 32 MB at 2048; held whole, the trace peaked
+    # at 37 MB.  Block by block it is about 1 MB, mostly the segments
+    means = np.array([[0.3, 0.3], [0.7, 0.3], [0.3, 0.7], [0.68, 0.71]])
+    tracemalloc.start()
+    try:
+        segs = _grid_boundary_segments(means, SQUARE, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(segs) > 2048
+    assert peak < 4 << 20, peak
 
 
 def test_grid_boundary_segments_split_pair():

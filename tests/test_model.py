@@ -417,6 +417,26 @@ def test_cloud_add_rejects_a_location_of_another_length():
     assert cloud.category_arrays(0, 1, 0.0)[0].shape == (0, 2)
 
 
+@pytest.mark.parametrize("category", [-1, 2, 1.5, math.nan, math.inf])
+def test_cloud_rejects_a_category_outside_its_range(category):
+    # a negative list index filed the point under the last category, and 2
+    # raised IndexError
+    cloud = ExemplarCloud(k=2, dim=1)
+    with pytest.raises(ParameterError, match="category"):
+        cloud.add(category, [0.1], birth_step=1)
+    with pytest.raises(ParameterError, match="category"):
+        cloud.seed_category(category, np.array([[0.2]]), [1.0])
+    for j in range(2):
+        assert cloud.category_arrays(j, 1, 0.0)[0].shape == (0, 1)
+
+
+def test_cloud_takes_whole_number_categories():
+    cloud = ExemplarCloud(k=2, dim=1)
+    cloud.add(np.int64(1), [0.1], birth_step=1)
+    cloud.seed_category(1.0, np.array([[0.2]]), [2.0])
+    assert np.array_equal(cloud.category_arrays(1, 1, 0.0)[0], [[0.1], [0.2]])
+
+
 def test_cloud_seed_rejects_a_count_mismatch():
     cloud = ExemplarCloud(k=1, dim=2)
     for weights in ([1.0], [1.0] * 4):
