@@ -27,13 +27,13 @@ tests prove it for the lockstep engine: every row of an ensemble equals
 run_trajectory on that row's stream.
 
 _trajectory_blocks draws in chunks of _CHUNK uniform points, mapped onto
-the box by Domain.uniform_points, and hands each chunk to the loop as
-Python floats.  The loop collects the states it records, and the winners,
-in Python lists, so recording every step costs list appends rather than
-numpy item stores; each chunk's states are yielded as one array.
-run_trajectory stores them into the record with one slice assignment per
-array, and the trajectory CSV writer formats them as they come, so it
-never holds the record.
+the box by Domain.uniform_points, and hands each chunk to the loop as one
+flat list of Python floats, with no list per point.  The loop collects the
+states it records, and the winners, in Python lists, so recording every
+step costs list appends rather than numpy item stores; each chunk's states
+are yielded as one array.  run_trajectory stores them into the record with
+one slice assignment per array, and the trajectory CSV writer formats them
+as they come, so it never holds the record.
 
 _trajectory_blocks is the one way to start or continue a single run: it
 starts from a flat state (*means.ravel(), *weights), by default the
@@ -119,10 +119,11 @@ class TrajectoryRecord:
 def _step_loop(k, dim, record_winners, every_step, decays):
     """Compile the step loop of one run shape from generated source.
 
-    loop(zs, t, stride, decay, state, recs, wins) runs the points zs from
-    ``state``, the flat tuple (*means.ravel(), *weights), t steps into the
-    run.  It extends recs by the state at every stride-th step, appends
-    each winner to wins if record_winners, and returns the new state.
+    loop(zs, t, stride, decay, state, recs, wins) runs the points whose
+    coordinates zs lists flat, dim floats each, from ``state``, the flat
+    tuple (*means.ravel(), *weights), t steps into the run.  It extends
+    recs by the state at every stride-th step, appends each winner to wins
+    if record_winners, and returns the new state.
     Mean j's coordinate c is the local m{j}_{c} and its weight w{j}.  The
     arithmetic is _advance's: squared distances summed over the coordinates
     in order, a running minimum with strict < so ties go to the lower
@@ -179,6 +180,7 @@ def _step_loop(k, dim, record_winners, every_step, decays):
              f"    {state} = state",
              "    add_rec, add_win = recs.extend, wins.append",
              "    left = stride - t % stride",
+             *[f"    zs = zip(*[iter(zs)] * {dim})"] * (dim > 1),
              f"    for {z} in zs:", *indent(indent(body + record)),
              f"    return {state}"]
     namespace = {}
@@ -230,12 +232,10 @@ def _trajectory_blocks(config: ModelConfig, n_steps: int, stride: int, rng=None,
     while t < n_steps:
         m = min(_CHUNK, n_steps - t)
         zs = config.domain.uniform_points(rng, m)
-        recs, wins = [], []
-        # a 1-D loop takes each draw as a float
-        state = loop((zs[:, 0] if dim == 1 else zs).tolist(), t, stride, decay, state,
-                     recs, wins)
+        recs, wins, zs = [], [], zs.ravel().tolist()
+        state = loop(zs, t, stride, decay, state, recs, wins)
         if cloud is not None:
-            for birth, (j, z) in enumerate(zip(wins, zs.tolist()), t + 1):
+            for birth, (j, z) in enumerate(zip(wins, zip(*[iter(zs)] * dim)), t + 1):
                 cloud.add(j, z, birth)
         # bytes() packs small ints about 3x as fast as numpy converts a list
         yield (np.fromiter(recs, float, len(recs)).reshape(-1, len(state)),

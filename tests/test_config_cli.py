@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import exdyn.ar1
+import exdyn.geometry
 import exdyn.harness
 from exdyn import cli
 from exdyn import (
@@ -13,6 +15,8 @@ from exdyn import (
     figure1_snapshot,
     parse_config,
     run_trajectory,
+    simulate_ar1,
+    substream,
     variance_of_Y,
 )
 from exdyn.cli import main, run
@@ -381,6 +385,53 @@ def test_trajectory_csv_memory_does_not_grow_with_n_steps(tmp_path):
     short = _traced_peak(spec(4 * _CHUNK), tmp_path)
     long = _traced_peak(spec(40 * _CHUNK), tmp_path)
     assert long - short < 1 << 20, (short, long)
+
+
+_SMALL_SUITE = """\
+preset = theorem-suite
+n_steps = 20000
+window = 2000
+check_stride = 100
+"""
+# small runs of every experiment a block size reaches: 7 CSVs in all
+_BLOCK_RUNS = {
+    "snapshot": "preset = fig1\nn_steps = 300\ngrid_resolution = 64\n",
+    "trajectory": "preset = fig3-left\nn_steps = 2000\nstride = 3\n",
+    "variance-curve": "preset = fig4\nlambda_grid = 0.05 0.2\nn_list = 10 100 inf\n"
+                      "replicas = 301\n",
+    "properties": _SMALL_SUITE,
+    "properties-zero-decay": _SMALL_SUITE + "lambda = 0\nnegative_control = false\n",
+}
+
+
+def _block_run_outputs(outdir):
+    outputs = {}
+    for name, config in _BLOCK_RUNS.items():
+        spec = parse_config(config)
+        assert run(spec.experiment, spec, outdir / name) == (0, None)
+        for path in sorted((outdir / name).iterdir()):
+            outputs[f"{name}/{path.name}"] = path.read_bytes()
+    return outputs
+
+
+def test_outputs_do_not_depend_on_any_block_size(tmp_path, monkeypatch):
+    # every engine, tracker and classifier works in blocks of a fixed size;
+    # small odd sizes put block edges inside every run, in the middle of a
+    # stride, a replica tile, a variance slice and a grid row, and across
+    # the snapshot's 2-D draws, and no byte of any CSV may move
+    want = _block_run_outputs(tmp_path / "default")
+    assert len(want) == 7
+    for name, size in [("_CHUNK", 7), ("_ENSEMBLE_CHUNK", 5), ("_DRAW_TILE", 3),
+                       ("_VAR_SLICE", 5), ("_ASSIGN_CHUNK", 64)]:
+        monkeypatch.setattr(exdyn.harness, name, size)
+    # harness imports _ASSIGN_CHUNK by name, so geometry's needs its own patch
+    monkeypatch.setattr(exdyn.geometry, "_ASSIGN_CHUNK", 64)
+    got = _block_run_outputs(tmp_path / "small-blocks")
+    assert [name for name in want if got[name] != want[name]] == []
+    # the AR(1) surrogate reaches no CLI output, so compare it directly
+    want = simulate_ar1(0.05, 100, substream(3))
+    monkeypatch.setattr(exdyn.ar1, "_NORMAL_BLOCK", 7)
+    assert simulate_ar1(0.05, 100, substream(3)).tobytes() == want.tobytes()
 
 
 def test_float_texts_tell_signed_zeros_apart():

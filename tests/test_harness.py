@@ -198,6 +198,8 @@ def box_config(k, dim, decay_rate, seed, init_key):
     pytest.param(1, 1, True, id="1-1"),
     pytest.param(3, 3, True, id="3-3"),
     pytest.param(12, 1, True, id="12-1"),
+    pytest.param(2, 4, True, id="2-4"),
+    pytest.param(5, 4, True, id="5-4"),
     pytest.param(2, 1, False, id="2-1-no-winners"),
     pytest.param(4, 2, False, id="4-2-no-winners"),
 ])
@@ -208,7 +210,9 @@ def test_run_trajectory_matches_step_reference_across_chunks(k, dim, record_winn
     # does not divide the chunk, so the records fall at a different offset
     # in each chunk.  The shapes cover each form of generated loop: k = 1
     # with no comparison, k = 2 with one, and running minima that pick the
-    # winner through dispatch trees 1, 2 and 4 tests deep
+    # winner through dispatch trees 1, 2 and 4 tests deep.  The loop reads
+    # each chunk's coordinates as one flat list, dim at a time: dims 1 to 4
+    # check that no point takes a coordinate of its neighbour
     n_steps = 2 * harness._CHUNK + 3
     cfg = box_config(k, dim, 0.01, seed=10 * k + stride, init_key=stride)
     rec = run_trajectory(cfg, n_steps, stride=stride, record_winners=record_winners)
