@@ -80,7 +80,8 @@ from .rng import GEOMETRY_STREAM, substream
 
 # draws per block; the engines hold each block as Python floats
 _CHUNK = 1 << 12
-_ENSEMBLE_CHUNK = 512
+# lockstep steps buffered, 2 KB per replica and dim; a call's ~245 draws hide its 0.4 us
+_ENSEMBLE_CHUNK = 256
 # replicas whose draws the lockstep engine stores into its buffer at once
 _DRAW_TILE = 128
 
@@ -338,8 +339,8 @@ def _lockstep_states(means, weights, decay_rate, domain, gens, targets):
     each fill a contiguous row of a (tile, chunk, dim) tile, which is
     stored with one transposing assignment.  Every replica still draws its
     values in order, so no state depends on the tile.  The chunk is sized
-    so that the buffer and the tile together hold no more than a
-    _ENSEMBLE_CHUNK-step buffer would.
+    so that the buffer and the tile together hold at most _ENSEMBLE_CHUNK *
+    dim * 8 bytes per replica (2 KB in 1-D), whatever the number of steps.
     """
     R = len(gens)
     k, dim = np.shape(means)[-2:]
@@ -594,8 +595,14 @@ def longest_starvation(winners, k: int, burn_in: int = 0) -> int:
     if not burn_in >= 0:
         raise ParameterError("burn_in must be nonnegative")
     burn_in = _whole(burn_in, "burn_in must be a whole number")
+    # the tracker counts only the values 0..k-1: any other winner would be
+    # taken for a step that no category won
+    w = np.asarray(winners)
+    if w.ndim != 1 or w.dtype.kind not in "iuf" or not np.all(
+            (w >= 0) & (w < k) & (w == np.floor(w))):
+        raise ParameterError(f"winners must be a 1-D array of whole numbers in [0, {k})")
     gaps = _StarvationTracker(k, burn_in)
-    gaps.feed(np.asarray(winners))
+    gaps.feed(w)
     return gaps.result()
 
 

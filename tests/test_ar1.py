@@ -134,6 +134,18 @@ def test_closed_forms_reject_nonpositive_decay():
                  id="starvation-zero-k"),
     pytest.param(lambda: longest_starvation(np.zeros(5, np.uint8), -1), "k must be at least 1",
                  id="starvation-negative-k"),
+    pytest.param(lambda: longest_starvation([0, 1, 2, 2, 2, 2], 2), "winners must be",
+                 id="starvation-winner-past-k"),
+    pytest.param(lambda: longest_starvation([0, -1, 1], 2), "winners must be",
+                 id="starvation-negative-winner"),
+    pytest.param(lambda: longest_starvation([0.5, 1.5], 2), "winners must be",
+                 id="starvation-fractional-winners"),
+    pytest.param(lambda: longest_starvation([0.0, math.nan], 2), "winners must be",
+                 id="starvation-nan-winner"),
+    pytest.param(lambda: longest_starvation([[0, 1], [1, 0]], 2), "winners must be",
+                 id="starvation-2d-winners"),
+    pytest.param(lambda: longest_starvation(["0", "1"], 2), "winners must be",
+                 id="starvation-text-winners"),
     pytest.param(lambda: property_non_collapse(unit_pair(0.1), 100, volume_floor=math.nan),
                  "volume_floor", id="collapse-nan-floor"),
     pytest.param(lambda: property_non_collapse(unit_pair(0.1), 100, volume_floor=-1.0),
@@ -156,6 +168,8 @@ def test_closed_forms_accept_whole_floats_and_numpy_integers():
     assert np.array_equal(simulate_ar1(0.1, 5.0, substream(1)),
                           simulate_ar1(0.1, np.int64(5), substream(1)))
     assert longest_starvation(np.array([0, 1, 0], np.uint8), 2.0) == 1
+    assert longest_starvation([0.0, 1.0, 0.0], 2) == 1
+    assert longest_starvation([], 2) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -692,6 +692,31 @@ def test_lockstep_rows_replay_at_tile_and_chunk_edges(R, dim):
             assert states[n][1][r].tobytes() == rec.weights[n].tobytes()
 
 
+def _lockstep_peak(R, n_steps):
+    # the generators are made before the trace starts: each holds its own
+    # Philox state, which the engine does not own
+    gens = [replica_stream(5, 0, r) for r in range(R)]
+    tracemalloc.start()
+    try:
+        harness._lockstep_states(np.array([[0.25], [0.75]]), np.full(2, 5.0), 0.1, UNIT,
+                                 gens, [n_steps])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lockstep_memory_is_bounded_per_replica():
+    # the engine holds a fixed number of steps of draws per replica, 8 B
+    # each, plus its state; a buffer 512 steps deep took 4240 B per replica
+    # in this test, the 256-step one about 2190 B.  Holding the draws of the whole
+    # run would take 64 KB per replica at 8000 steps
+    R = 3000
+    short = _lockstep_peak(R, 2000)
+    long = _lockstep_peak(R, 8000)
+    assert long < 2560 * R, long / R
+    assert abs(long - short) < (64 << 10), (short, long)
+
+
 def test_lockstep_ties_go_to_the_lower_index():
     # z = 0.5 lies exactly as far from 0.25 as from 0.75: replica 0 ties
     # categories 1 and 2 after category 0 lost, replica 1 ties 0 and 1
