@@ -5,17 +5,19 @@
 Subcommands: trajectory, variance-curve, snapshot, properties, ar1-table.
 Each writes CSV files into the output directory, prefixed by a header of
 ``# key = value`` lines echoing the fully expanded configuration (so any
-output is reproducible from its own header).  Numeric cells use shortest
-round-trip formatting; identical command + config + seed gives
-byte-identical files.
+output is reproducible from its own header).  Float cells are
+floattext.fmt's shortest round-trip text; identical command + config + seed
+gives byte-identical files, written in binary.
 
 The trajectory writer never holds the run's record: it formats and writes
 the states of each chunk of draws as the engine yields them, so its memory
-does not grow with n_steps.  It calls repr once per run of values in a
-column that equal the one above bit for bit; the repeats reuse its text.  A
-mean that did not win a step keeps its value, so repeats are common: a
-third of the cells of a 1-D two-category run at stride 1.  A chunk's rows
-are joined into one text block by str.join and written with one write.
+does not grow with n_steps.  rowtext.csv_rows makes the chunk's rows in
+numpy, a sub-block at a time: it formats only the cells whose bits differ
+from the cell above, copies the text of the rest, and leaves to repr the
+few values its digit arithmetic does not cover.  Each sub-block's bytes
+are written as soon as they are made.  A mean that did not win a step
+keeps its value, so repeats are common: a third of the cells of a 1-D
+two-category run at stride 1.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime error,
 3 property-suite mismatch.
@@ -33,6 +35,7 @@ import numpy as np
 from .ar1 import boundary_params, variance_of_Y
 from .config import EXPERIMENTS, parse_config
 from .errors import ConfigError, ExdynError
+from .floattext import fmt
 from .harness import (
     _run_length,
     _trajectory_blocks,
@@ -59,56 +62,32 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
-def _float_texts(column) -> list:
-    """_fmt of every value in a 1-D float array.
-
-    repr runs once per run of values that equal the one above bit for bit;
-    the rest reuse its text.  Bits, not ==, decide, so a -0.0 under a 0.0
-    still prints as -0.0.
-    """
-    bits = column.view(np.uint64)
-    new = np.empty(len(column), dtype=bool)
-    new[:1] = True
-    np.not_equal(bits[1:], bits[:-1], out=new[1:])
-    texts = np.array([repr(v) for v in column[new].tolist()], dtype=object)
-    return texts[np.cumsum(new) - 1].tolist()
-
-
-def _csv_block(rows) -> str:
-    """The rows, each a sequence of cell texts, as CSV lines of one text."""
-    return "\n".join([*map(",".join, rows), ""])
+def _csv_block(rows) -> bytes:
+    """The rows, each a sequence of cell texts, as CSV lines of one block."""
+    return "\n".join([*map(",".join, rows), ""]).encode()
 
 
 def _write_csv(path: Path, spec, columns, blocks):
-    # blocks may be a generator of _csv_block texts: each is written as it comes
-    with path.open("w") as fh:
-        fh.writelines(line + "\n" for line in spec.echo_lines())
-        fh.write(",".join(columns) + "\n")
+    # blocks may be a generator of bytes: each is written as it comes
+    with path.open("wb") as fh:
+        fh.write("".join(line + "\n" for line in
+                         [*spec.echo_lines(), ",".join(columns)]).encode())
         for block in blocks:
             fh.write(block)
     print(f"wrote {path}")
 
 
-def _trajectory_text(blocks, stride, pair):
-    """The rows of trajectory.csv, one text block per block of the engine's
-    states: step, then x1, x2, b for the 1-D pair, or every mean coordinate
-    and then every weight, the order of the states, otherwise."""
-    step = 0
+def _trajectory_columns(blocks, pair):
+    """The float columns of trajectory.csv for each block of the engine's
+    states: x1, x2, b for the 1-D pair, or every mean coordinate and then
+    every weight, the order of the states, otherwise."""
     for states, _ in blocks:
-        if not len(states):
-            continue
         if pair:
             x1, x2 = states[:, 0], states[:, 1]
-            columns = x1, x2, (x1 + x2) / 2.0  # TrajectoryRecord.boundaries, bit for bit
+            # TrajectoryRecord.boundaries, bit for bit
+            yield np.column_stack((x1, x2, (x1 + x2) / 2.0))
         else:
-            columns = states.T
-        steps = map(str, range(step, step + len(states) * stride, stride))
-        step += len(states) * stride
-        yield _csv_block(zip(steps, *map(_float_texts, columns)))
+            yield states
 
 
 def _run_trajectory(spec, outdir):
@@ -122,9 +101,12 @@ def _run_trajectory(spec, outdir):
         for j in range(k):
             columns.extend(f"x{j + 1}_{d + 1}" for d in range(dim))
         columns.extend(f"w{j + 1}" for j in range(k))
+    # imported here, so the runs that write no trajectory do not compile it
+    from .rowtext import csv_rows
+
     blocks = _trajectory_blocks(spec.model, n_steps, stride)
     _write_csv(outdir / "trajectory.csv", spec, columns,
-               _trajectory_text(blocks, stride, pair))
+               csv_rows(_trajectory_columns(blocks, pair), stride))
     return EXIT_OK, None
 
 
@@ -135,11 +117,11 @@ def _run_variance_curve(spec, outdir):
     rows = []
     for est in estimates:
         rows.append([
-            _fmt(est.decay_rate),
+            fmt(est.decay_rate),
             str(est.n_steps),
-            _fmt(est.variance),
-            _fmt(est.var_stderr),
-            _fmt(variance_of_Y(est.decay_rate, est.n)),
+            fmt(est.variance),
+            fmt(est.var_stderr),
+            fmt(variance_of_Y(est.decay_rate, est.n)),
         ])
     _write_csv(outdir / "variance_curve.csv", spec, columns, [_csv_block(rows)])
     return EXIT_OK, None
@@ -149,15 +131,15 @@ def _run_snapshot(spec, outdir):
     snap = figure1_snapshot(spec.model, spec.n_steps, spec.prune_threshold,
                             scatter_points=spec.scatter_points,
                             grid_resolution=spec.grid_resolution)
-    rows = ([_fmt(p[0]), _fmt(p[1]), _fmt(w), str(int(c))]
+    rows = ([fmt(p[0]), fmt(p[1]), fmt(w), str(int(c))]
             for p, w, c in zip(snap.positions, snap.weights, snap.categories))
     _write_csv(outdir / "exemplars.csv", spec,
                ["x", "y", "weight", "category"], [_csv_block(rows)])
-    rows = ([str(j), _fmt(m[0]), _fmt(m[1]), _fmt(w)]
+    rows = ([str(j), fmt(m[0]), fmt(m[1]), fmt(w)]
             for j, (m, w) in enumerate(zip(snap.means, snap.category_weights)))
     _write_csv(outdir / "means.csv", spec,
                ["category", "x", "y", "weight"], [_csv_block(rows)])
-    rows = ([_fmt(s[0, 0]), _fmt(s[0, 1]), _fmt(s[1, 0]), _fmt(s[1, 1])]
+    rows = ([fmt(s[0, 0]), fmt(s[0, 1]), fmt(s[1, 0]), fmt(s[1, 1])]
             for s in snap.boundary_segments)
     _write_csv(outdir / "boundaries.csv", spec,
                ["x0", "y0", "x1", "y1"], [_csv_block(rows)])
@@ -179,9 +161,9 @@ def _run_properties(spec, outdir):
         base = [report.name, "true" if report.passed else "false",
                 "true" if expected else "false"]
         for name, value in report.stats.items():
-            rows.append(base + ["stat", name, _fmt(value)])
+            rows.append(base + ["stat", name, fmt(value)])
         for name, value in report.thresholds.items():
-            rows.append(base + ["threshold", name, _fmt(value)])
+            rows.append(base + ["threshold", name, fmt(value)])
     _write_csv(outdir / "properties.csv", spec, columns, [_csv_block(rows)])
     mismatches = [
         f"{report.name} {'failed' if expected else 'unexpectedly passed'}"
@@ -197,8 +179,8 @@ def _run_ar1_table(spec, outdir):
     rows = []
     for lam in spec.lambda_grid:
         K, sigma = boundary_params(lam)
-        rows.append([_fmt(lam), _fmt(K), _fmt(sigma),
-                     _fmt(variance_of_Y(lam, math.inf))])
+        rows.append([fmt(lam), fmt(K), fmt(sigma),
+                     fmt(variance_of_Y(lam, math.inf))])
     _write_csv(outdir / "ar1_table.csv", spec, columns, [_csv_block(rows)])
     return EXIT_OK, None
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, ParameterError
+from .floattext import fmt
 from .model import Domain, ModelConfig
 from .presets import preset_keys, scatter_for_seed
 
@@ -157,12 +158,8 @@ def _float_list(key, raw, lineno):
     return [_float_value(key, tok, lineno) for tok in tokens]
 
 
-def _format_float(value) -> str:
-    return repr(float(value))
-
-
 def _format_floats(values) -> str:
-    return " ".join(repr(float(v)) for v in values)
+    return " ".join(map(fmt, values))
 
 
 # parsers of the run-key table: (key, raw text, line) -> (value, echo text)
@@ -176,7 +173,7 @@ def _integer(minimum):
 
 def _nonnegative_float(key, raw, lineno):
     value = _float_value(key, raw, lineno, minimum=0.0)
-    return value, _format_float(value)
+    return value, fmt(value)
 
 
 def _flag(key, raw, lineno):
@@ -287,7 +284,7 @@ def _parse_model(seen, seed, experiment):
 
     echo = {
         "k": str(k),
-        "lambda": _format_float(decay),
+        "lambda": fmt(decay),
         "dim": str(dim),
         "domain": _format_floats(domain_vals),
         "distribution": dist,
@@ -317,7 +314,7 @@ def _parse_model(seen, seed, experiment):
             np.array(centers).reshape(k, dim), count, sigma, domain, seed)
         echo["scatter_centers"] = _format_floats(centers)
         echo["scatter_count"] = str(count)
-        echo["scatter_sigma"] = _format_float(sigma)
+        echo["scatter_sigma"] = fmt(sigma)
 
     try:
         model = ModelConfig(k=k, decay_rate=decay, domain=domain, init_means=init_means,

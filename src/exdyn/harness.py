@@ -31,9 +31,10 @@ the box by Domain.uniform_points, and hands each chunk to the loop as one
 flat list of Python floats, with no list per point.  The loop collects the
 states it records, and the winners, in Python lists, so recording every
 step costs list appends rather than numpy item stores; each chunk's states
-are yielded as one array.  run_trajectory stores them into the record with
-one slice assignment per array, and the trajectory CSV writer formats them
-as they come, so it never holds the record.
+are yielded as one array, after the chunk's lists are released.
+run_trajectory stores them into the record with one slice assignment per
+array, and the trajectory CSV writer (rowtext.csv_rows) turns them into
+bytes as they come, so it never holds the record.
 
 _trajectory_blocks is the one way to start or continue a single run: it
 starts from a flat state (*means.ravel(), *weights), by default the
@@ -238,9 +239,16 @@ def _trajectory_blocks(config: ModelConfig, n_steps: int, stride: int, rng=None,
         if cloud is not None:
             for birth, (j, z) in enumerate(zip(wins, zip(*[iter(zs)] * dim)), t + 1):
                 cloud.add(j, z, birth)
+        states = np.fromiter(recs, float, len(recs)).reshape(-1, len(state))
         # bytes() packs small ints about 3x as fast as numpy converts a list
-        yield (np.fromiter(recs, float, len(recs)).reshape(-1, len(state)),
-               np.frombuffer(bytes(wins), np.uint8) if k <= 256 else np.array(wins, np.intp))
+        winners = (np.frombuffer(bytes(wins), np.uint8) if k <= 256
+                   else np.array(wins, np.intp))
+        # the consumer formats this chunk while the frame is suspended, and
+        # the next chunk runs after that: hold neither this chunk's lists
+        # through either, nor its arrays through the next
+        del recs, wins, zs
+        yield states, winners
+        del states, winners
         t += m
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
+from .floattext import fmt
 from .model import Domain, limit_total_weight
 from .rng import INIT_STREAM, substream
 
@@ -52,13 +53,13 @@ def _fig3(decay_rate, half_weight, seed):
         "experiment": "trajectory",
         "seed": seed,
         "k": "2",
-        "lambda": repr(float(decay_rate)),
+        "lambda": fmt(decay_rate),
         "dim": "1",
         "domain": "0 1",
         "distribution": "uniform",
         "init": "explicit",
         "init_means": "0.25 0.75",
-        "init_weights": f"{half_weight!r} {half_weight!r}",
+        "init_weights": f"{fmt(half_weight)} {fmt(half_weight)}",
         "n_steps": "100000",
         "stride": "10",
     }
@@ -94,7 +95,7 @@ def _theorem_suite():
         "distribution": "uniform",
         "init": "explicit",
         "init_means": "0.25 0.75",
-        "init_weights": f"{half_weight!r} {half_weight!r}",
+        "init_weights": f"{fmt(half_weight)} {fmt(half_weight)}",
         "n_steps": "1000000",
         "window": "10000",
         "check_stride": "1000",

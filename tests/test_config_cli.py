@@ -8,7 +8,7 @@ import pytest
 import exdyn.ar1
 import exdyn.geometry
 import exdyn.harness
-from exdyn import cli
+import exdyn.rowtext
 from exdyn import (
     ConfigError,
     boundary_params,
@@ -328,6 +328,28 @@ domain = 0 1 -1 2
 init_means = 0.1 0.2 0.5 0.5 0.9 -0.3
 init_weights = 1 2 3
 """
+# the third weight starts subnormal and, while its mean at the edge waits 17
+# steps for a win, decays to 0.0; a fifth of the weights fall below 1e-4,
+# where the cells have an exponent.  Two means are negative
+_STARVED = """\
+experiment = trajectory
+seed = 3
+k = 3
+lambda = 3
+domain = -1 2
+init_means = -0.9 1.9 -1
+init_weights = 1 1 1e-310
+"""
+# every coordinate negative
+_NEGATIVE_BOX = """\
+experiment = trajectory
+seed = 8
+k = 2
+lambda = 0.05
+domain = -3 -1 -2 -0.5
+init_means = -2.5 -1.5 -1.5 -0.75
+init_weights = 1 1
+"""
 
 
 @pytest.mark.parametrize("config", [
@@ -342,13 +364,19 @@ init_weights = 1 2 3
                  id="chunks-without-rows"),
     pytest.param(f"preset = fig3-left\nn_steps = {2 * _CHUNK + 5}\nstride = 3\n",
                  id="stride-3-pair"),
+    pytest.param(_STARVED + f"n_steps = {_PAST_BLOCK}\nstride = 1\n",
+                 id="k3-weights-underflow"),
+    pytest.param(_NEGATIVE_BOX + f"n_steps = {_PAST_BLOCK}\nstride = 2\n",
+                 id="negative-box"),
 ])
 def test_trajectory_csv_cells_format_the_record(tmp_path, config):
     # every cell is str(step) or repr(float(x)) of the record's value, with
     # x1, x2, b for the 1-D pair and every mean coordinate, then every
     # weight, otherwise.  The writer formats the engine's states chunk by
     # chunk: a stride past the chunk leaves chunks without rows, and
-    # stride 3 puts the rows at a different offset in each chunk
+    # stride 3 puts the rows at a different offset in each chunk.  Weights
+    # that underflow take the writer's repr fallback, and negative means
+    # its signs
     spec = parse_config(config, default_experiment="trajectory")
     assert run("trajectory", spec, tmp_path) == (0, None)
     rec = run_trajectory(spec.model, spec.n_steps, spec.stride)
@@ -424,6 +452,8 @@ def test_outputs_do_not_depend_on_any_block_size(tmp_path, monkeypatch):
     for name, size in [("_CHUNK", 7), ("_ENSEMBLE_CHUNK", 5), ("_DRAW_TILE", 3),
                        ("_VAR_SLICE", 5), ("_ASSIGN_CHUNK", 64)]:
         monkeypatch.setattr(exdyn.harness, name, size)
+    # 2 rows of n,x1,x2,b per sub-block of the trajectory writer
+    monkeypatch.setattr(exdyn.rowtext, "_CELLS", 11)
     # harness imports _ASSIGN_CHUNK by name, so geometry's needs its own patch
     monkeypatch.setattr(exdyn.geometry, "_ASSIGN_CHUNK", 64)
     got = _block_run_outputs(tmp_path / "small-blocks")
@@ -436,12 +466,13 @@ def test_outputs_do_not_depend_on_any_block_size(tmp_path, monkeypatch):
 
 def test_float_texts_tell_signed_zeros_apart():
     # a repeated value reuses the text above it only if its bits are equal;
-    # 0.0 == -0.0, so == would print the second as 0.0.  The strided column
-    # is how the writer reads a record
-    column = np.array([[0.0, 1.0], [-0.0, 1.0], [-0.0, 2.0], [0.0, 2.0]])[:, 0]
-    assert cli._float_texts(column) == ["0.0", "-0.0", "-0.0", "0.0"]
-    assert cli._float_texts(np.array([1.5, 1.5, 0.1, 0.1, 1.5])) == \
-        ["1.5", "1.5", "0.1", "0.1", "1.5"]
+    # 0.0 == -0.0, so == would print the second as 0.0
+    block = np.array([[0.0, 1.0], [-0.0, 1.0], [-0.0, 2.0], [0.0, 2.0]])
+    assert b"".join(exdyn.rowtext.csv_rows([block], 1)) == \
+        b"0,0.0,1.0\n1,-0.0,1.0\n2,-0.0,2.0\n3,0.0,2.0\n"
+    column = np.array([[1.5], [1.5], [0.1], [0.1], [1.5]])
+    assert b"".join(exdyn.rowtext.csv_rows([column], 5)) == \
+        b"0,1.5\n5,1.5\n10,0.1\n15,0.1\n20,1.5\n"
 
 
 def test_cli_single_category_column_names(tmp_path):
