@@ -11,14 +11,22 @@ grid index i) consumes substream(master_seed, i, r); geometry estimates use
 tagged substreams so they never disturb trajectory draws.
 
 Every single run goes through one engine: a step loop over Python floats
-whose source is generated for the run's shape (k, dim, whether it keeps
-winners, records every step, and decays the weights at all) and compiled
-once per shape.  The generated loop keeps every mean coordinate and weight
-in a local variable, which runs 3.5 to 8 times as many steps per second as
-one loop over indexed lists for every shape; numba and Cython, which could
-compile such a loop from one source, are not dependencies.  Ensembles of
-runs of any shape (k, dim) go through one lockstep engine, which advances
-every replica one step per round of numpy calls over the replica axis.
+whose source is generated for the run's shape and compiled once per shape.
+The shape is k, dim, whether the loop keeps winners, whether it decays the
+weights at all, and which states it records: every one (stride 1), every
+stride-th by a countdown, or none, for a chunk with no record point before
+its last step, whose record, if it falls there, is the state the loop
+returns.  Each chunk looks up its own loop, and a shape is compiled when a
+chunk first needs it.  The generated loop keeps every mean coordinate and
+weight in a local variable, which runs 3.5 to 8 times as many steps per
+second as one loop over indexed lists for every shape; numba and Cython,
+which could compile such a loop from one source, are not dependencies.  Up
+to _TREE_K categories it picks the winner by the running minimum's decision
+tree, unrolled.  Each loop is compiled under a file name that names its
+shape, with its source in linecache, so profiles and tracebacks show it.
+Ensembles of runs of any shape (k, dim) go through one lockstep engine,
+which advances every replica one step per round of numpy calls over the
+replica axis.
 Both repeat model._advance's arithmetic operation for operation.  The
 step-reference tests in tests/test_harness.py prove it for single runs:
 across k, dim, boxes, decay rates, runs with a cloud and exact ties, every
@@ -60,6 +68,7 @@ keeping only where the labels change, so no grid-sized array is held.
 from __future__ import annotations
 
 import functools
+import linecache
 import math
 from dataclasses import dataclass, replace
 
@@ -117,19 +126,37 @@ class TrajectoryRecord:
         return (self.means[:, 0, 0] + self.means[:, 1, 0]) / 2.0
 
 
+# categories up to which the step loop picks each winner by a decision tree
+# of 2^(k-1) leaves rather than a running minimum.  The tree saves about 8 %
+# of a step, and its compile time doubles with each k: up to k = 6 it pays
+# that back within 22 000 steps, at k = 7 within 29 000 to 59 000, and at
+# k = 8 only after 80 000 or more (BENCH_24.json)
+_TREE_K = 6
+
+
 @functools.lru_cache(maxsize=64)
-def _step_loop(k, dim, record_winners, every_step, decays):
+def _step_loop(k, dim, record_winners, records, decays):
     """Compile the step loop of one run shape from generated source.
 
     loop(zs, t, stride, decay, state, recs, wins) runs the points whose
     coordinates zs lists flat, dim floats each, from ``state``, the flat
-    tuple (*means.ravel(), *weights), t steps into the run.  It extends
-    recs by the state at every stride-th step, appends each winner to wins
-    if record_winners, and returns the new state.
+    tuple (*means.ravel(), *weights), t steps into the run.  It appends
+    each winner to wins if record_winners, and returns the new state.
+    ``records`` says which states it adds to recs: "every" state (stride
+    1), every stride-th by a countdown ("stride"), or "none", for a chunk
+    that holds no record point before its last step, which the caller
+    records from the returned state.
     Mean j's coordinate c is the local m{j}_{c} and its weight w{j}.  The
     arithmetic is _advance's: squared distances summed over the coordinates
     in order, a running minimum with strict < so ties go to the lower
     index, every weight decayed, and the winner absorbing the point.
+    Up to _TREE_K categories the running minimum is unrolled into its
+    decision tree: node (j, lead) tests d{j} < d{lead}, lead being the
+    running minimum's index before step j, and each leaf absorbs into its
+    lead.  The tests are the running minimum's on the same values, so the
+    winner is the same for ties and NaN too.  Above _TREE_K the tree's
+    2^(k-1) leaves take longer to compile than a run of a few chunks saves,
+    so the loop keeps the running minimum and dispatches on its index.
     Dropping _advance's 0.0 + before the first e * e is exact, as e * e is
     never -0.0, and so is dropping the decay when ``decays`` is false: the
     decay factor is then 1.0 (decay_rate 0, or up to about 5.6e-17), and
@@ -154,6 +181,13 @@ def _step_loop(k, dim, record_winners, every_step, decays):
                 + [f"m{j}_{c} = (m{j}_{c} * w{j} + z_{c}) / v" for c in coords]
                 + [f"w{j} = v"] + [f"add_win({j})"] * record_winners)
 
+    def tree(j, lead):
+        # the running minimum from category j on, lead holding it so far
+        if j == k:
+            return absorb(lead)
+        return [f"if d{j} < d{lead}:", *indent(tree(j + 1, j)),
+                "else:", *indent(tree(j + 1, lead))]
+
     def dispatch(lo, hi):
         # a balanced tree of tests on i: log2(k) tests per step, nested as deep
         if hi - lo == 1:
@@ -162,31 +196,39 @@ def _step_loop(k, dim, record_winners, every_step, decays):
         return [f"if i < {mid}:", *indent(dispatch(lo, mid)),
                 "else:", *indent(dispatch(mid, hi))]
 
-    body = []
-    if k == 2:
-        body += distance(0, "d0") + distance(1, "d1")
-    elif k > 2:
-        body += distance(0, "best") + ["i = 0"]
+    decay_all = [f"w{j} *= decay" for j in cats if decays]
+    if k <= _TREE_K:
+        # k = 1 needs no distance
+        body = [line for j in cats if k > 1 for line in distance(j, f"d{j}")]
+        body += decay_all + tree(1, 0)
+    else:
+        body = distance(0, "best") + ["i = 0"]
         for j in range(1, k):
             body += distance(j, "d") + ["if d < best:", f"    i = {j}", "    best = d"]
-    body += [f"w{j} *= decay" for j in cats if decays]
-    if k == 2:
-        body += ["if d1 < d0:", *indent(absorb(1)), "else:", *indent(absorb(0))]
-    else:
-        body += dispatch(0, k)
-    record = [f"add_rec(({state}))"]
-    if not every_step:
-        record = ["left -= 1", "if not left:", "    left = stride", *indent(record)]
+        body += decay_all + dispatch(0, k)
+    preamble = [f"{state} = state"]
+    if records == "every":
+        body += [f"add_rec(({state}))"]
+        preamble += ["add_rec = recs.extend"]
+    elif records == "stride":
+        body += ["left -= 1", "if not left:", "    left = stride",
+                 f"    add_rec(({state}))"]
+        preamble += ["add_rec = recs.extend", "left = stride - t % stride"]
+    preamble += ["add_win = wins.append"] * record_winners
+    if dim > 1:
+        preamble += [f"zs = zip(*[iter(zs)] * {dim})"]
 
-    lines = ["def loop(zs, t, stride, decay, state, recs, wins):",
-             f"    {state} = state",
-             "    add_rec, add_win = recs.extend, wins.append",
-             "    left = stride - t % stride",
-             *[f"    zs = zip(*[iter(zs)] * {dim})"] * (dim > 1),
-             f"    for {z} in zs:", *indent(indent(body + record)),
-             f"    return {state}"]
+    source = "\n".join(["def loop(zs, t, stride, decay, state, recs, wins):",
+                        *indent(preamble),
+                        f"    for {z} in zs:", *indent(indent(body)),
+                        f"    return {state}", ""])
+    # a file name that names the shape, with the source in linecache, so
+    # profiles, tracebacks and inspect.getsource show the generated code
+    name = (f"<exdyn loop k={k} dim={dim} records={records}"
+            f"{' winners' * record_winners}{' decays' * decays}>")
+    linecache.cache[name] = (len(source), None, source.splitlines(True), name)
     namespace = {}
-    exec("\n".join(lines), namespace)
+    exec(compile(source, name, "exec"), namespace)
     return namespace["loop"]
 
 
@@ -223,8 +265,7 @@ def _trajectory_blocks(config: ModelConfig, n_steps: int, stride: int, rng=None,
         rng = substream(config.seed)
     k, dim = config.init_means.shape  # plain ints, as they go into source
     decay = math.exp(-config.decay_rate)
-    loop = _step_loop(k, dim, record_winners or cloud is not None, stride == 1,
-                      decay != 1.0)
+    keep_winners, decays = record_winners or cloud is not None, decay != 1.0
     if start is None:
         start = np.append(config.init_means, config.init_weights)
     state = tuple(start.tolist())
@@ -235,7 +276,13 @@ def _trajectory_blocks(config: ModelConfig, n_steps: int, stride: int, rng=None,
         m = min(_CHUNK, n_steps - t)
         zs = config.domain.uniform_points(rng, m)
         recs, wins, zs = [], [], zs.ravel().tolist()
+        ahead = stride - t % stride  # steps to the next record
+        # a chunk with no record point before its last step needs no countdown
+        records = "every" if stride == 1 else "stride" if ahead < m else "none"
+        loop = _step_loop(k, dim, keep_winners, records, decays)
         state = loop(zs, t, stride, decay, state, recs, wins)
+        if records == "none" and ahead == m:
+            recs.extend(state)
         if cloud is not None:
             for birth, (j, z) in enumerate(zip(wins, zip(*[iter(zs)] * dim)), t + 1):
                 cloud.add(j, z, birth)

@@ -456,7 +456,14 @@ def test_outputs_do_not_depend_on_any_block_size(tmp_path, monkeypatch):
     monkeypatch.setattr(exdyn.rowtext, "_CELLS", 11)
     # harness imports _ASSIGN_CHUNK by name, so geometry's needs its own patch
     monkeypatch.setattr(exdyn.geometry, "_ASSIGN_CHUNK", 64)
-    got = _block_run_outputs(tmp_path / "small-blocks")
+    # every step loop picks its winner by the running minimum, none by the
+    # unrolled tree; the loops compiled either way must not be mixed
+    monkeypatch.setattr(exdyn.harness, "_TREE_K", 0)
+    exdyn.harness._step_loop.cache_clear()
+    try:
+        got = _block_run_outputs(tmp_path / "small-blocks")
+    finally:
+        exdyn.harness._step_loop.cache_clear()
     assert [name for name in want if got[name] != want[name]] == []
     # the AR(1) surrogate reaches no CLI output, so compare it directly
     want = simulate_ar1(0.05, 100, substream(3))

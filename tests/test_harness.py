@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import tracemalloc
@@ -209,8 +210,9 @@ def test_run_trajectory_matches_step_reference_across_chunks(k, dim, record_winn
     # chunk ends: 2 chunks and 3 draws cross that edge twice, and stride 7
     # does not divide the chunk, so the records fall at a different offset
     # in each chunk.  The shapes cover each form of generated loop: k = 1
-    # with no comparison, k = 2 with one, and running minima that pick the
-    # winner through dispatch trees 1, 2 and 4 tests deep.  The loop reads
+    # with no comparison, decision trees for k = 2 to 5, and at k = 12 a
+    # running minimum that picks the winner through a dispatch tree 4 tests
+    # deep.  The loop reads
     # each chunk's coordinates as one flat list, dim at a time: dims 1 to 4
     # check that no point takes a coordinate of its neighbour
     n_steps = 2 * harness._CHUNK + 3
@@ -243,12 +245,16 @@ def test_continued_run_from_a_weight_decayed_to_zero_matches_step_reference(k, d
 
 
 def test_each_run_shape_builds_its_loop_once():
+    # every chunk looks its loop up, so the hits follow the chunk count;
+    # the shapes built are the misses.  The two full chunks hold records at
+    # stride 7 and run the countdown loop; the last 3 steps hold none and
+    # run the loop without one
     harness._step_loop.cache_clear()
     cfg = box_config(3, 2, 0.01, seed=4, init_key=0)
-    for _ in range(2):
-        run_trajectory(cfg, 2 * harness._CHUNK + 3, stride=7)
-    info = harness._step_loop.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    run_trajectory(cfg, 2 * harness._CHUNK + 3, stride=7)
+    assert harness._step_loop.cache_info().misses == 2
+    run_trajectory(cfg, 2 * harness._CHUNK + 3, stride=7)
+    assert harness._step_loop.cache_info().misses == 2
 
 
 def test_identity_decay_builds_its_own_loop():
@@ -258,8 +264,62 @@ def test_identity_decay_builds_its_own_loop():
     harness._step_loop.cache_clear()
     for decay_rate in (0.0, 1e-17, 0.01):
         run_trajectory(box_config(3, 2, decay_rate, seed=4, init_key=0), 10)
-    info = harness._step_loop.cache_info()
-    assert (info.misses, info.hits) == (2, 1)
+    assert harness._step_loop.cache_info().misses == 2
+
+
+def test_generated_loops_show_their_source():
+    # each shape compiles under a file name that names it, with its source
+    # in linecache, so profiles and tracebacks tell the shapes apart
+    loop = harness._step_loop(4, 2, False, "none", True)
+    assert loop.__code__.co_filename == "<exdyn loop k=4 dim=2 records=none decays>"
+    assert "def loop" in inspect.getsource(loop)
+    assert "left" not in inspect.getsource(loop)
+    assert "left -= 1" in inspect.getsource(harness._step_loop(4, 2, True, "stride", True))
+
+
+@pytest.mark.parametrize("k", [harness._TREE_K, harness._TREE_K + 1])
+@pytest.mark.parametrize("tied", [(0, 1, 2), (1, 3, -1), (-3, -2, -1), (0, 2, -1)])
+def test_three_way_ties_go_to_the_lowest_index(k, tied):
+    # up to _TREE_K categories the winner comes from an unrolled decision
+    # tree, above it from a running minimum.  The first draw, the centre,
+    # is exactly 0.25 from the three tied means and nearer than any other;
+    # random draws follow, at stride 1 and at a stride whose one record
+    # falls on the run's last step, which runs the loop with no countdown
+    far = [[0.05, 0.05], [0.95, 0.95], [0.05, 0.95], [0.95, 0.05],
+           [0.5, 0.02], [0.5, 0.98]]
+    tied = [j % k for j in tied]
+    rings = iter([[0.75, 0.5], [0.25, 0.5], [0.5, 0.75]])
+    means = np.array([next(rings) if j in tied else far.pop() for j in range(k)])
+    cfg = ModelConfig(k=k, decay_rate=0.05, domain=SQUARE, init_means=means,
+                      init_weights=np.linspace(1.0, 3.0, k), seed=0)
+    centre = np.array([0.5, 0.5])
+    d = ((means - centre) ** 2).sum(axis=1)
+    assert np.flatnonzero(d == d.min()).tolist() == sorted(tied)
+    draws = np.concatenate([centre, substream(k, 7).random(2 * 200)])
+    for stride in (1, 201):
+        rec = run_trajectory(cfg, 201, stride=stride, record_winners=True,
+                             rng=_FixedDraws(draws))
+        assert rec.winners[0] == min(tied)
+        assert_replays_step(cfg, rec, 201, rng=_FixedDraws(draws))
+
+
+@pytest.mark.parametrize("k,dim,record_winners", [
+    pytest.param(1, 1, False, id="1-1"),
+    pytest.param(2, 1, False, id="2-1"),
+    pytest.param(4, 2, True, id="4-2"),
+    pytest.param(harness._TREE_K + 1, 2, True, id="above-tree"),
+])
+@pytest.mark.parametrize("stride", [_CHUNK, 3 * _CHUNK])
+def test_records_on_a_chunk_end_match_step_reference(k, dim, record_winners, stride):
+    # a chunk with no record point before its last step runs the loop with
+    # no countdown, and its record, if any, is the state the loop returns:
+    # stride _CHUNK puts a record on each full chunk's last step, and a
+    # stride longer than the run records only the start
+    n_steps = 2 * _CHUNK + 3
+    cfg = box_config(k, dim, 0.02, seed=k + stride, init_key=dim)
+    rec = run_trajectory(cfg, n_steps, stride=stride, record_winners=record_winners)
+    assert len(rec.means) == n_steps // stride + 1
+    assert_replays_step(cfg, rec, n_steps)
 
 
 @pytest.mark.parametrize("k,dim", [(1, 1), (2, 1), (3, 2), (5, 3)])
