@@ -37,8 +37,8 @@ from .config import EXPERIMENTS, parse_config
 from .errors import ConfigError, ExdynError
 from .floattext import fmt
 from .harness import (
+    _Run,
     _run_length,
-    _trajectory_blocks,
     boundary_variance_curve,
     figure1_snapshot,
     property_macqueen_cvt,
@@ -104,7 +104,7 @@ def _run_trajectory(spec, outdir):
     # imported here, so the runs that write no trajectory do not compile it
     from .rowtext import csv_rows
 
-    blocks = _trajectory_blocks(spec.model, n_steps, stride)
+    blocks = _Run(spec.model).blocks(n_steps, stride)
     _write_csv(outdir / "trajectory.csv", spec, columns,
                csv_rows(_trajectory_columns(blocks, pair), stride))
     return EXIT_OK, None

@@ -34,9 +34,11 @@ recorded state equals iterating model.step on the same draws.  The replay
 tests prove it for the lockstep engine: every row of an ensemble equals
 run_trajectory on that row's stream.
 
-_trajectory_blocks draws in chunks of _CHUNK uniform points, mapped onto
-the box by Domain.uniform_points, and hands each chunk to the loop as one
-flat list of Python floats, with no list per point.  The loop collects the
+A single run is a _Run: its generator, its flat state (*means.ravel(),
+*weights) and the step it has reached.  _Run.blocks advances it a stretch
+at a time, drawing in chunks of _CHUNK uniform points, mapped onto the box
+by Domain.uniform_points, and handing each chunk to the loop as one flat
+list of Python floats, with no list per point.  The loop collects the
 states it records, and the winners, in Python lists, so recording every
 step costs list appends rather than numpy item stores; each chunk's states
 are yielded as one array, after the chunk's lists are released.
@@ -44,23 +46,21 @@ run_trajectory stores them into the record with one slice assignment per
 array, and the trajectory CSV writer (rowtext.csv_rows) turns them into
 bytes as they come, so it never holds the record.
 
-_trajectory_blocks is the one way to start or continue a single run: it
-starts from a flat state (*means.ravel(), *weights), by default the
-config's initial one.  Started from a run's last state on the generator
-that made it, it continues that run, and the continued states equal those
-of one uninterrupted run.
+Records fall at the multiples of a stretch's stride counted from the run's
+start, and a stretch without a stride records nothing, so the readers that
+need a run's head and tail read them as two stretches of one run.
 theorem_suite uses this to run its config once, without building a record:
-it reads the blocks of the run's head, every check_stride-th state, and of
-its last quarter, continued at stride 1, as they come.  A tracker keeps
-each category's last winning step and the longest gap, so no winner is
-stored; the late window keeps the last quarter's means, 4 B per step of the
-run, and counts their moves per chunk.  The non-extinction, non-collapse
-and non-convergence reports are built by the same readers and report code
-as the standalone checks, which each run the trajectory themselves.
-figure1_snapshot reads its run the same way, in a head without an
-exemplar cloud and a tail as long as the survivor horizon, the age past
-which an absorbed point weighs no more than the cutoff.  Only the tail
-feeds the cloud, so the cloud grows with that horizon, not with n_steps.
+it reads the run's head, every check_stride-th state, and its last quarter,
+every state, as they come.  A tracker keeps each category's last winning
+step and the longest gap, so no winner is stored; the late window keeps the
+last quarter's means, 4 B per step of the run, and counts their moves per
+chunk.  The non-extinction, non-collapse and non-convergence reports are
+built by the same readers and report code as the standalone checks, which
+each run the trajectory themselves.
+figure1_snapshot runs a head without an exemplar cloud and a tail as long
+as the survivor horizon, the age past which an absorbed point weighs no
+more than the cutoff.  Only the tail feeds the cloud, so the cloud grows
+with that horizon, not with n_steps.
 Its cell boundaries are traced on a grid classified a few rows at a time,
 keeping only where the labels change, so no grid-sized array is held.
 """
@@ -243,60 +243,71 @@ def _run_length(n_steps, stride):
     return n_steps, stride
 
 
-def _trajectory_blocks(config: ModelConfig, n_steps: int, stride: int, rng=None,
-                       record_winners: bool = False, cloud: ExemplarCloud = None,
-                       start=None):
-    """Run the dynamics, yielding (states, winners) once per chunk of draws.
+class _Run:
+    """One run of a config on its generator, advanced a stretch at a time.
 
-    n_steps and stride are as _run_length returns them.  The run starts
-    from ``start``, a flat state (*means.ravel(), *weights), by default the
-    config's initial state; a state the dynamics reach may hold a weight
-    that decayed to 0.0, which ModelConfig refuses as an initial weight.
-    states is a (rows, k dim + k) float array of the flat states recorded
-    in the chunk; winners is the chunk's array of winning categories,
-    empty unless record_winners or a cloud is given, as uint8 up to k =
-    256.  The first yield is the starting state with no winners.  A chunk
-    records no state when the stride is longer than the chunk and no
-    multiple of it falls there.  rng and cloud are run_trajectory's: each
-    chunk's draws go to the cloud after the loop has run them, in draw
-    order, the point absorbed by this run's t-th step born at step t.
+    It holds the generator (by default the config seed's stream), the flat
+    state (*means.ravel(), *weights), starting at the config's initial
+    state, and t, the step reached.  A stretch continues from where the last
+    one stopped, so a run read in stretches has the states of one run read
+    whole.
     """
-    if rng is None:
-        rng = substream(config.seed)
-    k, dim = config.init_means.shape  # plain ints, as they go into source
-    decay = math.exp(-config.decay_rate)
-    keep_winners, decays = record_winners or cloud is not None, decay != 1.0
-    if start is None:
-        start = np.append(config.init_means, config.init_weights)
-    state = tuple(start.tolist())
-    yield np.array([state]), np.array([], np.uint8)
 
-    t = 0
-    while t < n_steps:
-        m = min(_CHUNK, n_steps - t)
-        zs = config.domain.uniform_points(rng, m)
-        recs, wins, zs = [], [], zs.ravel().tolist()
-        ahead = stride - t % stride  # steps to the next record
-        # a chunk with no record point before its last step needs no countdown
-        records = "every" if stride == 1 else "stride" if ahead < m else "none"
-        loop = _step_loop(k, dim, keep_winners, records, decays)
-        state = loop(zs, t, stride, decay, state, recs, wins)
-        if records == "none" and ahead == m:
-            recs.extend(state)
-        if cloud is not None:
-            for birth, (j, z) in enumerate(zip(wins, zip(*[iter(zs)] * dim)), t + 1):
-                cloud.add(j, z, birth)
-        states = np.fromiter(recs, float, len(recs)).reshape(-1, len(state))
-        # bytes() packs small ints about 3x as fast as numpy converts a list
-        winners = (np.frombuffer(bytes(wins), np.uint8) if k <= 256
-                   else np.array(wins, np.intp))
-        # the consumer formats this chunk while the frame is suspended, and
-        # the next chunk runs after that: hold neither this chunk's lists
-        # through either, nor its arrays through the next
-        del recs, wins, zs
-        yield states, winners
-        del states, winners
-        t += m
+    def __init__(self, config: ModelConfig, rng=None):
+        self.config = config
+        self.rng = substream(config.seed) if rng is None else rng
+        self.state = tuple(np.append(config.init_means, config.init_weights).tolist())
+        self.t = 0
+
+    def blocks(self, n_steps: int, stride: int = None, record_winners: bool = False,
+               cloud: ExemplarCloud = None):
+        """Advance the run n_steps steps, yielding (states, winners) per chunk.
+
+        n_steps and stride are as _run_length returns them.  states is a
+        (rows, k dim + k) float array of the flat states at the run's steps
+        that are multiples of ``stride``, counted from the run's start;
+        stride None records none.  The stretch's own start is recorded,
+        when it is such a step, as a first yield with no winners.  A chunk
+        records no state when no record point falls there.  winners is the
+        chunk's array of winning categories, empty unless record_winners or
+        a cloud is given, as uint8 up to k = 256.  Each chunk's draws go to
+        the cloud after the loop has run them, in draw order, the point
+        absorbed by the run's t-th step born at step t.
+        """
+        config = self.config
+        k, dim = config.init_means.shape  # plain ints, as they go into source
+        decay = math.exp(-config.decay_rate)
+        keep_winners, decays = record_winners or cloud is not None, decay != 1.0
+        if stride is not None and self.t % stride == 0:
+            yield np.array([self.state]), np.array([], np.uint8)
+
+        t, end = self.t, self.t + n_steps
+        while t < end:
+            m = min(_CHUNK, end - t)
+            zs = config.domain.uniform_points(self.rng, m)
+            recs, wins, zs = [], [], zs.ravel().tolist()
+            # steps to the next record, past the chunk if it records none
+            ahead = m + 1 if stride is None else stride - t % stride
+            # a chunk with no record point before its last step needs no countdown
+            records = "every" if stride == 1 else "stride" if ahead < m else "none"
+            loop = _step_loop(k, dim, keep_winners, records, decays)
+            state = self.state = loop(zs, t, stride, decay, self.state, recs, wins)
+            if records == "none" and ahead == m:
+                recs.extend(state)
+            if cloud is not None:
+                for birth, (j, z) in enumerate(zip(wins, zip(*[iter(zs)] * dim)), t + 1):
+                    cloud.add(j, z, birth)
+            t = self.t = t + m
+            states = np.fromiter(recs, float, len(recs)).reshape(-1, len(state))
+            # bytes() packs small ints about 3x as fast as numpy converts a list
+            winners = (np.frombuffer(bytes(wins), np.uint8) if k <= 256
+                       else np.array(wins, np.intp))
+            # the consumer formats this chunk while the frame is suspended, and
+            # the next chunk runs after that: hold neither this chunk's lists
+            # through either, nor its arrays through the next
+            del recs, wins, zs
+            yield states, winners
+            del states, winners
 
 
 def run_trajectory(config: ModelConfig, n_steps: int, stride: int = 1,
@@ -320,8 +331,7 @@ def run_trajectory(config: ModelConfig, n_steps: int, stride: int = 1,
                if record_winners else None)
 
     r = t = 0  # where the next recorded state and winner go
-    for block, wins in _trajectory_blocks(config, n_steps, stride, rng, record_winners,
-                                          cloud):
+    for block, wins in _Run(config, rng).blocks(n_steps, stride, record_winners, cloud):
         rec_means.reshape(n_rec, -1)[r:r + len(block)] = block[:, :k * dim]
         rec_weights[r:r + len(block)] = block[:, k * dim:]
         r += len(block)
@@ -696,7 +706,7 @@ def property_non_extinction(config: ModelConfig, n_steps: int,
     leaves any category empty-handed."""
     gaps = _extinction_tracker(config, window)
     n, _ = _run_length(n_steps, 1)
-    for _, winners in _trajectory_blocks(config, n, max(1, n), record_winners=True):
+    for _, winners in _Run(config).blocks(n, record_winners=True):
         gaps.feed(winners)
     return _extinction_report(config, n_steps, window, gaps)
 
@@ -795,7 +805,7 @@ class _LateWindow:
         self.rows = 0
 
     def feed(self, states):
-        """Take the next stride-1 states, flat as _trajectory_blocks yields them."""
+        """Take the next stride-1 states, flat as _Run.blocks yields them."""
         r = self.rows
         self.rows += len(states)
         # in 1-D the means are a state's first k values
@@ -854,18 +864,17 @@ def property_non_convergence(config: ModelConfig, n_steps: int) -> PropertyRepor
 
     Accepts decay_rate = 0 so the converging case can serve as a negative
     control (it must come out failed).  Only the last quarter is recorded:
-    the run's head goes unrecorded, and its tail continues on the same
-    stream, so the states equal those of one stride-1 run."""
+    the run's head is a stretch that records nothing."""
     problem = _late_window_problem(config, n_steps)
     if problem:
         raise ParameterError(problem[1])
     n, _ = _run_length(n_steps, 1)
     tail = n // 4
-    rng = substream(config.seed)
-    for states, _ in _trajectory_blocks(config, n - tail, n - tail, rng):
+    run = _Run(config)
+    for _ in run.blocks(n - tail):
         pass
     late = _LateWindow(tail, config.k)
-    for states, _ in _trajectory_blocks(config, tail, 1, rng, start=states[-1]):
+    for states, _ in run.blocks(tail, 1):
         late.feed(states)
     return _convergence_report(config, n_steps, late)
 
@@ -914,14 +923,13 @@ def theorem_suite(config: ModelConfig, n_steps: int = 1_000_000,
     property_non_convergence give on their own.
 
     The three checks share one run of the config on its seed's stream, read
-    chunk by chunk as _trajectory_blocks yields it: every winner goes to the
-    non-extinction check's tracker and is dropped.  The run's head, steps 0
-    to n_steps - n_steps // 4, yields the states every check_stride steps
-    (if check_stride does not divide the head, a second short run finishes
-    it).  Its tail, the last quarter, continues on the same stream at stride
-    1, and only its means are kept.  The non-collapse states are the head's
-    plus the tail's at multiples of check_stride.  Every argument is checked
-    before the run starts."""
+    chunk by chunk in two stretches: every winner goes to the non-extinction
+    check's tracker and is dropped.  The run's head, steps 0 to n_steps -
+    n_steps // 4, records the states at multiples of check_stride.  Its
+    tail, the last quarter, records every state, from the head's last one
+    on, and only their means are kept.  The non-collapse states are the
+    head's plus the tail's at multiples of check_stride.  Every argument is
+    checked before the run starts."""
     gaps = _extinction_tracker(config, window)
     n, stride = _run_length(n_steps, check_stride)
     problem = _late_window_problem(config, n)
@@ -930,21 +938,13 @@ def theorem_suite(config: ModelConfig, n_steps: int = 1_000_000,
 
     tail = n // 4
     head_len = n - tail
-    whole = head_len - head_len % stride
-    rng = substream(config.seed)
+    run = _Run(config)
     checked = []  # the means of the head's states, in 1-D its first k values
-    for states, winners in _trajectory_blocks(config, whole, stride, rng,
-                                              record_winners=True):
+    for states, winners in run.blocks(head_len, stride, record_winners=True):
         checked.append(states[:, :config.k])
         gaps.feed(winners)
-    if whole < head_len:
-        rest = head_len - whole
-        for states, winners in _trajectory_blocks(config, rest, rest, rng,
-                                                  record_winners=True, start=states[-1]):
-            gaps.feed(winners)
     late = _LateWindow(tail, config.k)
-    for states, winners in _trajectory_blocks(config, tail, 1, rng, record_winners=True,
-                                              start=states[-1]):
+    for states, winners in run.blocks(tail, 1, record_winners=True):
         late.feed(states)
         gaps.feed(winners)
 
@@ -1075,13 +1075,8 @@ def figure1_snapshot(config: ModelConfig, n_steps: int,
     individual points it stands for.
 
     Only the exemplars absorbed in the run's last steps can survive the
-    cutoff, so only those are kept: the run's head goes unrecorded and
-    without a cloud, and its tail continues from the head's last state on
-    the same stream and feeds the cloud.  The means and weights are the
-    tail's last state.  The tail counts its births from its own first step,
-    so the initial exemplars are born at -(length of the head) and the
-    cloud is read at the tail's length: every age, and so every weight and
-    every row, equals that of one run feeding the cloud from step 0.
+    cutoff, so only those are kept: the run's head is a stretch without a
+    cloud, and only its tail feeds the cloud.
     """
     if config.domain.dim != 2:
         raise ParameterError("snapshots are defined for 2-D configs")
@@ -1100,22 +1095,21 @@ def figure1_snapshot(config: ModelConfig, n_steps: int,
         if not config.domain.contains(scatter_points):
             raise DomainError("scatter_points must lie inside the domain")
     tail = _survivor_horizon(n_steps, config.decay_rate, prune_threshold)
-    head_len = n_steps - tail
     if scatter_points is None:
         points, weights = config.init_means[:, None, :], config.init_weights[:, None]
     else:
         points, weights = scatter_points, np.ones(scatter_points.shape[:2])
     cloud = ExemplarCloud(k, 2)
     for j in range(k):
-        cloud.seed_category(j, points[j], weights[j], birth_step=-head_len)
-    rng = substream(config.seed)
-    for head, _ in _trajectory_blocks(config, head_len, max(1, head_len), rng):
+        cloud.seed_category(j, points[j], weights[j])
+    run = _Run(config)
+    for _ in run.blocks(n_steps - tail):
         pass
-    for states, _ in _trajectory_blocks(config, tail, max(1, tail), rng, cloud=cloud,
-                                        start=head[-1]):
+    for _ in run.blocks(tail, cloud=cloud):
         pass
-    kept = cloud.pruned(tail, config.decay_rate, prune_threshold)
-    means = states[-1, :2 * k].reshape(k, 2)
+    kept = cloud.pruned(n_steps, config.decay_rate, prune_threshold)
+    state = np.array(run.state)
+    means = state[:2 * k].reshape(k, 2)
     return SnapshotResult(
         step=n_steps,
         positions=np.concatenate([locs for locs, _ in kept]),
@@ -1123,7 +1117,7 @@ def figure1_snapshot(config: ModelConfig, n_steps: int,
         categories=np.concatenate(
             [np.full(locs.shape[0], j, dtype=np.int64) for j, (locs, _) in enumerate(kept)]),
         means=means,
-        category_weights=states[-1, 2 * k:],
+        category_weights=state[2 * k:],
         boundary_segments=_grid_boundary_segments(means, config.domain, grid_resolution),
         prune_threshold=float(prune_threshold),
     )

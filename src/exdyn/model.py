@@ -326,8 +326,8 @@ class ExemplarCloud:
             raise ParameterError(f"category must lie in [0, {self.k}), got {c}")
         return c
 
-    def seed_category(self, category: int, locations, weights, birth_step: int = 0):
-        """Register pre-existing exemplars for one category."""
+    def seed_category(self, category: int, locations, weights):
+        """Register pre-existing exemplars for one category, born at step 0."""
         category = self._index(category)
         locations = _as_points(locations, self.dim)
         if locations.shape[1] != self.dim:
@@ -340,7 +340,7 @@ class ExemplarCloud:
         for loc, w in zip(locations, weights):
             self._locations[category].append(tuple(loc.tolist()))
             self._weights0[category].append(float(w))
-            self._births[category].append(int(birth_step))
+            self._births[category].append(0)
 
     def add(self, category: int, location, birth_step: int):
         """Record the exemplar absorbed at ``birth_step`` (weight 1 at birth).

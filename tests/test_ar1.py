@@ -10,7 +10,6 @@ import math
 import numpy as np
 import pytest
 
-from exdyn import harness
 from exdyn import (
     Domain,
     ModelConfig,
@@ -151,13 +150,10 @@ def test_closed_forms_reject_nonpositive_decay():
     pytest.param(lambda: property_non_collapse(unit_pair(0.1), 100, volume_floor=-1.0),
                  "volume_floor", id="collapse-negative-floor"),
 ])
-def test_closed_forms_and_checks_reject_bad_counts(monkeypatch, call, message):
+def test_closed_forms_and_checks_reject_bad_counts(no_run, call, message):
     # int() used to read 2.5 as 2 and -0.5 as 0, and NaN raised numpy's or
     # Python's own errors; a bad volume floor failed the check quietly, and
     # only after the run
-    def no_run(*args, **kwargs):
-        raise AssertionError("simulated before checking the input")
-    monkeypatch.setattr(harness, "run_trajectory", no_run)
     with pytest.raises(ParameterError, match=message):
         call()
 

@@ -542,11 +542,8 @@ def test_cli_property_mismatch_exit_code(tmp_path, capsys):
 ], ids=["three-categories", "wider-domain", "short-run", "zero-decay-15-steps",
         "zero-decay-0-steps"])
 def test_cli_properties_rejects_what_the_suite_cannot_run(
-        tmp_path, capsys, monkeypatch, replacements, field):
+        tmp_path, capsys, no_run, replacements, field):
     # rejected as a configuration error before any simulation starts
-    def no_run(*args, **kwargs):
-        raise AssertionError("simulated before checking the config")
-    monkeypatch.setattr(exdyn.harness, "run_trajectory", no_run)
     text = "preset = theorem-suite\n" + "".join(
         f"{k} = {v}\n" for k, v in replacements.items())
     with pytest.raises(ConfigError) as err:
@@ -564,15 +561,11 @@ def test_cli_properties_rejects_what_the_suite_cannot_run(
     ("variance-curve", "lambda_grid = 1e-320\nn_list = inf\nreplicas = 4\n", "lambda_grid"),
     ("properties", "preset = theorem-suite\nlambda = 1e-17\n", "lambda"),
 ], ids=["ar1-table", "variance-curve", "variance-curve-equilibrium", "properties"])
-def test_cli_rejects_decay_rates_that_decay_nothing(tmp_path, capsys, monkeypatch,
+def test_cli_rejects_decay_rates_that_decay_nothing(tmp_path, capsys, no_run,
                                                     command, text, field):
     # exp(-1e-17) rounds to 1.0: the closed forms then divide by zero, and
     # the equilibrium horizon 400 / 1e-320 overflows.  The rate is refused
     # as a configuration error before any simulation starts
-    def no_run(*args, **kwargs):
-        raise AssertionError("simulated before checking the config")
-    monkeypatch.setattr(exdyn.harness, "run_trajectory", no_run)
-    monkeypatch.setattr(exdyn.harness, "_lockstep_states", no_run)
     cfg = write(tmp_path, "tiny.cfg", f"experiment = {command}\nseed = 1\n" + text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err

@@ -160,13 +160,13 @@ def test_run_trajectory_matches_step_reference(k, dim, decay_rate, lower, span,
     assert_replays_step(cfg, rec, n_steps)
 
 
-def assert_replays_step(cfg, rec, n_steps, rng=None, start=None):
-    """rec holds every rec.stride-th state, and every winner if it kept
-    them, of iterating model.step from ``start`` (by default the config's
-    state) on sample(...) draws from ``rng`` (by default the config's
-    stream); returns the draws."""
-    stride = rec.stride
-    assert np.array_equal(rec.steps, np.arange(0, n_steps + 1, stride))
+def assert_replays_step(cfg, rec, n_steps, rng=None, start=None, first=0):
+    """rec holds the states at steps first, first + rec.stride, ..., and
+    every winner if it kept them, of iterating model.step from ``start`` (by
+    default the config's state) on sample(...) draws from ``rng`` (by
+    default the config's stream); returns the draws."""
+    records = range(first, n_steps + 1, rec.stride)
+    assert len(rec.means) == len(records)
     g = substream(cfg.seed) if rng is None else rng
     state = (SystemState(cfg.init_means.copy(), cfg.init_weights.copy())
              if start is None else start)
@@ -178,9 +178,9 @@ def assert_replays_step(cfg, rec, n_steps, rng=None, start=None):
             if rec.winners is not None:
                 assert rec.winners[t - 1] == classify(z, state.means)
             state = step(state, z, cfg.decay_rate)
-        if t % stride == 0:
-            assert np.array_equal(rec.means[t // stride], state.means)
-            assert np.array_equal(rec.weights[t // stride], state.weights)
+        if t in records:
+            assert np.array_equal(rec.means[records.index(t)], state.means)
+            assert np.array_equal(rec.weights[records.index(t)], state.weights)
     return draws
 
 
@@ -226,22 +226,26 @@ def test_run_trajectory_matches_step_reference_across_chunks(k, dim, record_winn
 @pytest.mark.parametrize("k,dim", [(2, 1), (3, 2)])
 def test_continued_run_from_a_weight_decayed_to_zero_matches_step_reference(k, dim):
     # at decay 1000 the decay factor is 0.0, so every losing weight is 0.0;
-    # a continued run starts from that state, which ModelConfig refuses
+    # the run continues from that state, which ModelConfig refuses.  Records
+    # fall at multiples of 7 from the run's start: after a head of 42 steps
+    # on 42, 49, ..., and after one of 40 on 42, 49, ..., not 40, 47, ...
     cfg = box_config(k, dim, 1000.0, seed=5, init_key=0)
-    g = substream(cfg.seed)
-    *_, (head, _) = harness._trajectory_blocks(cfg, 40, 40, g)
-    start = head[-1]
-    assert 0.0 in start[k * dim:]
-    blocks = list(harness._trajectory_blocks(cfg, 300, 7, g, record_winners=True,
-                                             start=start))
-    states = np.concatenate([block for block, _ in blocks])
-    rec = harness.TrajectoryRecord(cfg, 7, states[:, :k * dim].reshape(-1, k, dim),
-                                   states[:, k * dim:],
-                                   np.concatenate([wins for _, wins in blocks]))
-    rest = substream(cfg.seed)
-    rest.random((40, dim))  # the head's draws
-    assert_replays_step(cfg, rec, 300, rng=rest,
-                        start=SystemState(start[:k * dim].reshape(k, dim), start[k * dim:]))
+    for head, first in [(42, 0), (40, 2)]:
+        run = harness._Run(cfg)
+        for _ in run.blocks(head):
+            pass
+        start = np.array(run.state)
+        assert 0.0 in start[k * dim:]
+        blocks = list(run.blocks(300, 7, record_winners=True))
+        states = np.concatenate([block for block, _ in blocks])
+        rec = harness.TrajectoryRecord(cfg, 7, states[:, :k * dim].reshape(-1, k, dim),
+                                       states[:, k * dim:],
+                                       np.concatenate([wins for _, wins in blocks]))
+        rest = substream(cfg.seed)
+        rest.random((head, dim))  # the head's draws
+        assert_replays_step(cfg, rec, 300, rng=rest, first=first,
+                            start=SystemState(start[:k * dim].reshape(k, dim),
+                                              start[k * dim:]))
 
 
 def test_each_run_shape_builds_its_loop_once():
@@ -489,8 +493,7 @@ def test_trajectory_cloud_reproduces_state():
                       init_weights=np.array([2.0, 1.0, 3.0]), seed=9)
     cloud = ExemplarCloud(3, 1)
     for j in range(3):
-        cloud.seed_category(j, cfg.init_means[j][None, :],
-                            [cfg.init_weights[j]], birth_step=0)
+        cloud.seed_category(j, cfg.init_means[j][None, :], [cfg.init_weights[j]])
     rec = run_trajectory(cfg, 2000, stride=2000, cloud=cloud)
     kept = cloud.pruned(2000, 0.05, 0.0)
     assert sum(len(locs) for locs, _ in kept) == 3 + 2000
@@ -592,19 +595,13 @@ NOT_FINITE = "limit total weight is not finite"
     pytest.param(lambda: theorem_suite(pair_config(1e-17, seed=3), 100), DECAYS_NOTHING,
                  id="suite"),
 ])
-def test_rates_that_decay_nothing_are_refused_before_any_run(monkeypatch, call, message):
+def test_rates_that_decay_nothing_are_refused_before_any_run(no_run, call, message):
     # exp(-1e-17) rounds to 1.0: the variance floor's closed form and the
     # equilibrium horizon have no value there, and the non-extinction
     # burn-in of 1e18 steps would pass any run.  Below about 5.6e-309 the
     # limit total weight overflows, and an ensemble started there returned
     # NaN boundaries.  Grid point 0 of the curve is valid, and its ensemble
     # must not run first
-    def no_run(*args, **kwargs):
-        raise AssertionError("simulated before checking the input")
-    monkeypatch.setattr(harness, "substream", no_run)
-    monkeypatch.setattr(harness, "run_trajectory", no_run)
-    monkeypatch.setattr(harness, "_trajectory_blocks", no_run)
-    monkeypatch.setattr(harness, "_lockstep_states", no_run)
     with pytest.raises(ParameterError, match=message):
         call()
 
@@ -654,14 +651,11 @@ def test_ensemble_counts_must_be_whole_numbers(call):
     pytest.param(lambda: boundary_variance_curve([0.05, 0.1, math.inf], [10], 3000, 1),
                  "finite decay_rate > 0", id="curve-inf-third-rate"),
 ])
-def test_ensemble_stream_keys_are_checked_first(call, match, monkeypatch):
+def test_ensemble_stream_keys_are_checked_first(call, match, no_run):
     # SeedSequence raised numpy's own ValueError on a negative seed or index
     # and keyed streams by seeds past 64 bits, which ModelConfig refuses.
     # The curve checked each decay rate only when its grid point came up,
     # after the ensembles of the points before it
-    def no_stream(*key):
-        raise AssertionError(f"stream {key} made before the check")
-    monkeypatch.setattr(harness, "replica_stream", no_stream)
     with pytest.raises(ParameterError, match=match):
         call()
 
@@ -951,13 +945,8 @@ def test_non_collapse_sample_count_must_be_a_whole_number():
 @pytest.mark.parametrize("n_samples,message", [
     (0, "at least 1"), (-1, "at least 1"), (2.5, "a whole number"), (math.nan, "a whole number"),
 ])
-def test_non_collapse_checks_its_sample_count_before_running(monkeypatch, n_samples,
-                                                              message):
+def test_non_collapse_checks_its_sample_count_before_running(no_run, n_samples, message):
     # a bad sample count was refused only after the whole trajectory had run
-    def no_run(*args, **kwargs):
-        raise AssertionError("simulated before checking the sample count")
-
-    monkeypatch.setattr(harness, "run_trajectory", no_run)
     with pytest.raises(GeometryError, match=f"n_samples must be {message}"):
         property_non_collapse(pair_config(0.1, seed=12), 2000, n_samples=n_samples)
 
@@ -1073,22 +1062,23 @@ def test_theorem_suite_equals_the_standalone_checks(decay_rate, n_steps,
 
 
 def test_theorem_suite_runs_the_decaying_trajectory_once(monkeypatch):
-    runs = []
-    real = harness._trajectory_blocks
+    # 100 does not divide the head of 1538 steps and 769 does: either way
+    # the run takes two stretches, its head at check_stride and its last
+    # quarter at stride 1
+    stretches = []
+    real = harness._Run.blocks
 
-    def counting(config, n_steps, stride, *args, **kwargs):
-        runs.append((config.decay_rate, n_steps, stride))
-        return real(config, n_steps, stride, *args, **kwargs)
+    def counting(self, n_steps, stride=None, *args, **kwargs):
+        stretches.append((self, self.config.decay_rate, n_steps, stride))
+        return real(self, n_steps, stride, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "_trajectory_blocks", counting)
-    n_steps, check_stride = 2050, 100
-    theorem_suite(pair_config(0.1, seed=23), n_steps, 500, check_stride)
-    decaying = [(n, stride) for lam, n, stride in runs if lam == 0.1]
-    assert sum(n for n, _ in decaying) == n_steps
-    # every step of the last quarter is kept; the head keeps one state per
-    # check_stride steps, plus one for the run that finishes it
-    recorded = sum(n // stride for n, stride in decaying)
-    assert recorded <= n_steps // 4 + n_steps // check_stride + 1
+    monkeypatch.setattr(harness._Run, "blocks", counting)
+    for check_stride in (100, 769):
+        stretches.clear()
+        theorem_suite(pair_config(0.1, seed=23), 2050, 500, check_stride)
+        decaying = [(run, n, stride) for run, lam, n, stride in stretches if lam == 0.1]
+        assert [(n, s) for _, n, s in decaying] == [(1538, check_stride), (512, 1)]
+        assert decaying[0][0] is decaying[1][0]
 
 
 def _suite_peak(n_steps):
@@ -1136,12 +1126,7 @@ def test_theorem_suite_memory_does_not_grow_with_n_steps():
                  id="negative-steps"),
 ])
 def test_theorem_suite_rejects_its_input_before_running(
-        monkeypatch, decay_rate, k, n_steps, window, check_stride, message):
-    def no_run(*args, **kwargs):
-        raise AssertionError("the suite simulated before checking its input")
-
-    monkeypatch.setattr(harness, "substream", no_run)
-    monkeypatch.setattr(harness, "_trajectory_blocks", no_run)
+        no_run, decay_rate, k, n_steps, window, check_stride, message):
     cfg = ModelConfig(k=k, decay_rate=decay_rate, domain=UNIT,
                       init_means=np.linspace(0.2, 0.8, k)[:, None],
                       init_weights=np.ones(k), seed=23)
@@ -1198,15 +1183,10 @@ def _scatter(value, at=(1, 2, 0)):
     pytest.param({"scatter_points": _scatter(-1e-9, at=(0, 1, 1))}, DomainError,
                  "scatter_points must lie inside the domain", id="scatter-point-below-the-box"),
 ])
-def test_snapshot_rejects_bad_threshold_and_grid(monkeypatch, kwargs, error, message):
+def test_snapshot_rejects_bad_threshold_and_grid(no_run, kwargs, error, message):
     # int() read 2.5 as 2 and raised OverflowError on inf, after the run,
     # scatter points of another shape raised IndexError, and a NaN or an
     # outside scatter point was run and reported among the exemplars
-    def no_run(*args, **kwargs):
-        raise AssertionError("the snapshot simulated before checking its input")
-
-    monkeypatch.setattr(harness, "_trajectory_blocks", no_run)
-    monkeypatch.setattr(harness, "substream", no_run)
     with pytest.raises(error, match=message):
         figure1_snapshot(snapshot_config(0.1), 10, **kwargs)
 
@@ -1246,7 +1226,7 @@ def full_run_snapshot(config, n_steps, prune_threshold, scatter_points=None,
         points, weights = scatter_points, np.ones(scatter_points.shape[:2])
     cloud = ExemplarCloud(config.k, 2)
     for j in range(config.k):
-        cloud.seed_category(j, points[j], weights[j], birth_step=0)
+        cloud.seed_category(j, points[j], weights[j])
     rec = run_trajectory(config, n_steps, stride=max(1, n_steps), cloud=cloud)
     kept = cloud.pruned(n_steps, config.decay_rate, prune_threshold)
     means = rec.means[-1]
@@ -1315,7 +1295,7 @@ def test_snapshot_adds_only_the_exemplars_that_can_survive(monkeypatch):
                             scatter_points=spec.scatter_points, grid_resolution=8)
     # fig1 keeps weights above 0.01 at decay 0.05: ages up to 92 survive
     assert (spec.model.decay_rate, spec.prune_threshold) == (0.05, 0.01)
-    assert adds == list(range(1, 95))
+    assert adds == list(range(3000 - 93, 3001))
     assert snap.step == 3000 and snap.positions.shape[0] == 93
 
 

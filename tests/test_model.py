@@ -388,7 +388,7 @@ def test_zero_decay_reduces_to_running_mean(zs):
 
 def test_cloud_decays_weights_lazily():
     cloud = ExemplarCloud(k=1, dim=1)
-    cloud.seed_category(0, np.array([[0.2]]), [3.0], birth_step=0)
+    cloud.seed_category(0, np.array([[0.2]]), [3.0])
     cloud.add(0, [0.6], birth_step=1)
     locs, w = cloud.category_arrays(0, now=3, decay_rate=0.5)
     assert np.array_equal(locs, [[0.2], [0.6]])
