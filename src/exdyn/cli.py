@@ -79,8 +79,9 @@ def _write_csv(path: Path, spec, columns, blocks):
 
 def _trajectory_columns(blocks, pair):
     """The float columns of trajectory.csv for each block of the engine's
-    states: x1, x2, b for the 1-D pair, or every mean coordinate and then
-    every weight, the order of the states, otherwise."""
+    states: x1, x2, b for the 1-D pair, whose blocks hold only the means,
+    or every mean coordinate and then every weight, the order of the
+    states, otherwise."""
     for states, _ in blocks:
         if pair:
             x1, x2 = states[:, 0], states[:, 1]
@@ -104,7 +105,7 @@ def _run_trajectory(spec, outdir):
     # imported here, so the runs that write no trajectory do not compile it
     from .rowtext import csv_rows
 
-    blocks = _Run(spec.model).blocks(n_steps, stride)
+    blocks = _Run(spec.model).blocks(n_steps, stride, means_only=pair)
     _write_csv(outdir / "trajectory.csv", spec, columns,
                csv_rows(_trajectory_columns(blocks, pair), stride))
     return EXIT_OK, None

@@ -48,15 +48,15 @@ bytes as they come, so it never holds the record.
 
 Records fall at the multiples of a stretch's stride counted from the run's
 start, and a stretch without a stride records nothing, so the readers that
-need a run's head and tail read them as two stretches of one run.
-theorem_suite uses this to run its config once, without building a record:
-it reads the run's head, every check_stride-th state, and its last quarter,
-every state, as they come.  A tracker keeps each category's last winning
-step and the longest gap, so no winner is stored; the late window keeps the
-last quarter's means, 4 B per step of the run, and counts their moves per
-chunk.  The non-extinction, non-collapse and non-convergence reports are
-built by the same readers and report code as the standalone checks, which
-each run the trajectory themselves.
+need a run's head and tail read them as two stretches of one run.  A reader
+that needs no weights records the means alone.  theorem_suite runs its
+config once, without building a record: it reads the means of the head's
+every check_stride-th state and of the last quarter's every state, as they
+come.  A tracker keeps each category's last winning step and the longest
+gap, so no winner is stored; the late window holds 4 B per step of the run.
+Its zero-decay control, on the same stream, runs the head's draws as the
+run draws them, then its own last quarter.  The reports come from the same
+code as the standalone checks, which each run their own trajectory.
 figure1_snapshot runs a head without an exemplar cloud and a tail as long
 as the survivor horizon, the age past which an absorbed point weighs no
 more than the cutoff.  Only the tail feeds the cloud, so the cloud grows
@@ -135,7 +135,7 @@ _TREE_K = 6
 
 
 @functools.lru_cache(maxsize=64)
-def _step_loop(k, dim, record_winners, records, decays):
+def _step_loop(k, dim, record_winners, records, decays, means_only=False):
     """Compile the step loop of one run shape from generated source.
 
     loop(zs, t, stride, decay, state, recs, wins) runs the points whose
@@ -145,7 +145,8 @@ def _step_loop(k, dim, record_winners, records, decays):
     ``records`` says which states it adds to recs: "every" state (stride
     1), every stride-th by a countdown ("stride"), or "none", for a chunk
     that holds no record point before its last step, which the caller
-    records from the returned state.
+    records from the returned state.  With means_only a record is the
+    state's k dim means alone.
     Mean j's coordinate c is the local m{j}_{c} and its weight w{j}.  The
     arithmetic is _advance's: squared distances summed over the coordinates
     in order, a running minimum with strict < so ties go to the lower
@@ -164,8 +165,8 @@ def _step_loop(k, dim, record_winners, records, decays):
     """
     cats, coords = range(k), range(dim)
     z = ", ".join(f"z_{c}" for c in coords)
-    state = ", ".join([f"m{j}_{c}" for j in cats for c in coords]
-                      + [f"w{j}" for j in cats]) + ","
+    means = [f"m{j}_{c}" for j in cats for c in coords]
+    state = ", ".join(means + [f"w{j}" for j in cats]) + ","
 
     def indent(lines):
         return ["    " + line for line in lines]
@@ -207,12 +208,13 @@ def _step_loop(k, dim, record_winners, records, decays):
             body += distance(j, "d") + ["if d < best:", f"    i = {j}", "    best = d"]
         body += decay_all + dispatch(0, k)
     preamble = [f"{state} = state"]
+    rec = ", ".join(means) + "," if means_only else state
     if records == "every":
-        body += [f"add_rec(({state}))"]
+        body += [f"add_rec(({rec}))"]
         preamble += ["add_rec = recs.extend"]
     elif records == "stride":
         body += ["left -= 1", "if not left:", "    left = stride",
-                 f"    add_rec(({state}))"]
+                 f"    add_rec(({rec}))"]
         preamble += ["add_rec = recs.extend", "left = stride - t % stride"]
     preamble += ["add_win = wins.append"] * record_winners
     if dim > 1:
@@ -224,7 +226,7 @@ def _step_loop(k, dim, record_winners, records, decays):
                         f"    return {state}", ""])
     # a file name that names the shape, with the source in linecache, so
     # profiles, tracebacks and inspect.getsource show the generated code
-    name = (f"<exdyn loop k={k} dim={dim} records={records}"
+    name = (f"<exdyn loop k={k} dim={dim} records={records}{' means' * means_only}"
             f"{' winners' * record_winners}{' decays' * decays}>")
     linecache.cache[name] = (len(source), None, source.splitlines(True), name)
     namespace = {}
@@ -259,12 +261,19 @@ class _Run:
         self.state = tuple(np.append(config.init_means, config.init_weights).tolist())
         self.t = 0
 
+    def _draws(self):
+        # where the run stands on its draws: its step, its stream's state and box
+        box = self.config.domain
+        return repr((self.t, self.rng.bit_generator.state,
+                     box.lower.tolist(), box.upper.tolist()))
+
     def blocks(self, n_steps: int, stride: int = None, record_winners: bool = False,
-               cloud: ExemplarCloud = None):
+               cloud: ExemplarCloud = None, means_only: bool = False, follower=None):
         """Advance the run n_steps steps, yielding (states, winners) per chunk.
 
         n_steps and stride are as _run_length returns them.  states is a
-        (rows, k dim + k) float array of the flat states at the run's steps
+        (rows, k dim + k) float array of the flat states, or with
+        means_only a (rows, k dim) array of their means, at the run's steps
         that are multiples of ``stride``, counted from the run's start;
         stride None records none.  The stretch's own start is recorded,
         when it is such a step, as a first yield with no winners.  A chunk
@@ -272,14 +281,22 @@ class _Run:
         chunk's array of winning categories, empty unless record_winners or
         a cloud is given, as uint8 up to k = 256.  Each chunk's draws go to
         the cloud after the loop has run them, in draw order, the point
-        absorbed by the run's t-th step born at step t.
+        absorbed by the run's t-th step born at step t.  A follower, a _Run
+        standing where this one does on the same draws, runs them too and
+        ends the stretch where a run of its own would, generator included.
         """
         config = self.config
         k, dim = config.init_means.shape  # plain ints, as they go into source
+        width = k * dim if means_only else k * dim + k
         decay = math.exp(-config.decay_rate)
         keep_winners, decays = record_winners or cloud is not None, decay != 1.0
+        if follower is not None:
+            if follower._draws() != self._draws():
+                raise ParameterError("a follower must stand where the run does on its draws")
+            fdecay = math.exp(-follower.config.decay_rate)
+            follow = _step_loop(follower.config.k, dim, False, "none", fdecay != 1.0)
         if stride is not None and self.t % stride == 0:
-            yield np.array([self.state]), np.array([], np.uint8)
+            yield np.array([self.state[:width]]), np.array([], np.uint8)
 
         t, end = self.t, self.t + n_steps
         while t < end:
@@ -290,15 +307,18 @@ class _Run:
             ahead = m + 1 if stride is None else stride - t % stride
             # a chunk with no record point before its last step needs no countdown
             records = "every" if stride == 1 else "stride" if ahead < m else "none"
-            loop = _step_loop(k, dim, keep_winners, records, decays)
+            loop = _step_loop(k, dim, keep_winners, records, decays,
+                              means_only and records != "none")
             state = self.state = loop(zs, t, stride, decay, self.state, recs, wins)
             if records == "none" and ahead == m:
-                recs.extend(state)
+                recs.extend(state[:width])
+            if follower is not None:
+                follower.state = follow(zs, t, None, fdecay, follower.state, None, None)
             if cloud is not None:
                 for birth, (j, z) in enumerate(zip(wins, zip(*[iter(zs)] * dim)), t + 1):
                     cloud.add(j, z, birth)
             t = self.t = t + m
-            states = np.fromiter(recs, float, len(recs)).reshape(-1, len(state))
+            states = np.fromiter(recs, float, len(recs)).reshape(-1, width)
             # bytes() packs small ints about 3x as fast as numpy converts a list
             winners = (np.frombuffer(bytes(wins), np.uint8) if k <= 256
                        else np.array(wins, np.intp))
@@ -308,6 +328,8 @@ class _Run:
             del recs, wins, zs
             yield states, winners
             del states, winners
+        if follower is not None:
+            follower.t, follower.rng.bit_generator.state = self.t, self.rng.bit_generator.state
 
 
 def run_trajectory(config: ModelConfig, n_steps: int, stride: int = 1,
@@ -546,7 +568,8 @@ def _estimate(decay_rate, n, n_eff, values) -> EnsembleEstimate:
     var = float(values.var(ddof=1))
     stderr = math.sqrt(var / R)
     dev = values - mean
-    m4 = float(np.mean(dev**4))
+    sq = dev * dev  # not dev**4: np.power rounds differently on AVX-512 CPUs
+    m4 = float(np.mean(sq * sq))
     # large-sample variance of the sample variance, via the 4th moment
     var_of_var = (m4 - var**2 * (R - 3) / (R - 1)) / R
     return EnsembleEstimate(
@@ -804,12 +827,11 @@ class _LateWindow:
         self.moves = np.zeros(k, dtype=np.int64)
         self.rows = 0
 
-    def feed(self, states):
-        """Take the next stride-1 states, flat as _Run.blocks yields them."""
+    def feed(self, means):
+        """Take the next stride-1 states' means, as _Run.blocks yields them."""
         r = self.rows
-        self.rows += len(states)
-        # in 1-D the means are a state's first k values
-        self.means[r:self.rows] = states[:, :self.means.shape[1]]
+        self.rows += len(means)
+        self.means[r:self.rows] = means
         steps = np.diff(self.means[max(r - 1, 0):self.rows], axis=0)
         self.moves += (np.abs(steps) > MOVEMENT_EPSILON).sum(axis=0)
 
@@ -869,14 +891,18 @@ def property_non_convergence(config: ModelConfig, n_steps: int) -> PropertyRepor
     if problem:
         raise ParameterError(problem[1])
     n, _ = _run_length(n_steps, 1)
-    tail = n // 4
     run = _Run(config)
-    for _ in run.blocks(n - tail):
+    for _ in run.blocks(n - n // 4):
         pass
-    late = _LateWindow(tail, config.k)
-    for states, _ in run.blocks(tail, 1):
-        late.feed(states)
-    return _convergence_report(config, n_steps, late)
+    return _tail_report(run, n)
+
+
+def _tail_report(run, n_steps) -> PropertyReport:
+    # non-convergence of a run of n_steps, a whole number, from its last quarter
+    late = _LateWindow(n_steps // 4, run.config.k)
+    for means, _ in run.blocks(n_steps // 4, 1, means_only=True):
+        late.feed(means)
+    return _convergence_report(run.config, n_steps, late)
 
 
 def property_macqueen_cvt(config: ModelConfig, n_steps: int) -> PropertyReport:
@@ -925,11 +951,12 @@ def theorem_suite(config: ModelConfig, n_steps: int = 1_000_000,
     The three checks share one run of the config on its seed's stream, read
     chunk by chunk in two stretches: every winner goes to the non-extinction
     check's tracker and is dropped.  The run's head, steps 0 to n_steps -
-    n_steps // 4, records the states at multiples of check_stride.  Its
-    tail, the last quarter, records every state, from the head's last one
-    on, and only their means are kept.  The non-collapse states are the
-    head's plus the tail's at multiples of check_stride.  Every argument is
-    checked before the run starts."""
+    n_steps // 4, records the means at multiples of check_stride.  Its
+    tail, the last quarter, records the means of every state, from the
+    head's last one on.  The non-collapse states are the head's plus the
+    tail's at multiples of check_stride.  The control draws what the run
+    draws: it follows the run through the head, then takes its own tail.
+    Every argument is checked before the run starts."""
     gaps = _extinction_tracker(config, window)
     n, stride = _run_length(n_steps, check_stride)
     problem = _late_window_problem(config, n)
@@ -939,13 +966,16 @@ def theorem_suite(config: ModelConfig, n_steps: int = 1_000_000,
     tail = n // 4
     head_len = n - tail
     run = _Run(config)
-    checked = []  # the means of the head's states, in 1-D its first k values
-    for states, winners in run.blocks(head_len, stride, record_winners=True):
-        checked.append(states[:, :config.k])
+    # the zero-decay control follows the run's head on its draws
+    control = _Run(replace(config, decay_rate=0.0)) if negative_control else None
+    checked = []  # the means of the head's states
+    for means, winners in run.blocks(head_len, stride, record_winners=True,
+                                     means_only=True, follower=control):
+        checked.append(means)
         gaps.feed(winners)
     late = _LateWindow(tail, config.k)
-    for states, winners in run.blocks(tail, 1, record_winners=True):
-        late.feed(states)
+    for means, winners in run.blocks(tail, 1, record_winners=True, means_only=True):
+        late.feed(means)
         gaps.feed(winners)
 
     # the tail's first state is the head's last, so its states at multiples
@@ -958,9 +988,8 @@ def theorem_suite(config: ModelConfig, n_steps: int = 1_000_000,
         (_convergence_report(config, n_steps, late), True),
     ]
     del late, checked  # the control's own window is as large
-    if negative_control:
-        control = replace(config, decay_rate=0.0)
-        out.append((property_non_convergence(control, n_steps), False))
+    if control is not None:
+        out.append((_tail_report(control, n), False))
     return out
 
 

@@ -281,6 +281,74 @@ def test_generated_loops_show_their_source():
     assert "left -= 1" in inspect.getsource(harness._step_loop(4, 2, True, "stride", True))
 
 
+@pytest.mark.parametrize("stride", [1, 7, _CHUNK])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 4, harness._TREE_K + 1])
+def test_means_only_blocks_are_the_full_blocks_means(k, dim, stride):
+    # a run continued after a head of 3 steps, so the stretch starts off a
+    # record point, and long enough for records on and off chunk edges
+    cfg = box_config(k, dim, 0.05, seed=8, init_key=1)
+    got, want = [], []
+    for out, means_only in [(got, True), (want, False)]:
+        run = harness._Run(cfg)
+        for _ in run.blocks(3):
+            pass
+        out += [(states, wins) for states, wins in
+                run.blocks(2 * _CHUNK + 5, stride, True, means_only=means_only)]
+    assert len(got) == len(want)
+    for (means, got_wins), (states, want_wins) in zip(got, want):
+        assert means.shape == (len(states), k * dim)
+        assert means.tobytes() == states[:, :k * dim].copy().tobytes()
+        assert got_wins.tobytes() == want_wins.tobytes()
+    source = inspect.getsource(harness._step_loop(k, dim, False, "every", True, True))
+    means = ", ".join(f"m{j}_{c}" for j in range(k) for c in range(dim))
+    assert [line.strip() for line in source.splitlines() if "add_rec((" in line] == \
+        [f"add_rec(({means},))"]
+
+
+def _advanced(run, n_steps, **kwargs):
+    for _ in run.blocks(n_steps, **kwargs):
+        pass
+    return run
+
+
+@pytest.mark.parametrize("lead_k,follow_k,dim", [(2, 2, 1), (3, 5, 2)])
+def test_a_follower_ends_where_its_own_run_would(lead_k, follow_k, dim):
+    # the follower decays nothing, the run does; a head of 10 steps, then a
+    # stretch over chunk edges that records, and a short one that does not
+    lead = box_config(lead_k, dim, 0.05, seed=9, init_key=2)
+    alone = harness._Run(box_config(follow_k, dim, 0.0, seed=9, init_key=3))
+    follower = harness._Run(alone.config)
+    run = _advanced(harness._Run(lead), 10, follower=follower)
+    _advanced(alone, 10)
+    for n_steps, stride in [(2 * _CHUNK + 3, 7), (5, None)]:
+        want = [(s.tobytes(), w.tobytes()) for s, w in
+                _advanced(harness._Run(lead), run.t).blocks(n_steps, stride, True)]
+        got = [(s.tobytes(), w.tobytes()) for s, w in
+               run.blocks(n_steps, stride, True, follower=follower)]
+        assert got == want
+        _advanced(alone, n_steps)
+        assert follower.t == alone.t == run.t
+        assert follower.state == alone.state
+        assert repr(follower.rng.bit_generator.state) == repr(alone.rng.bit_generator.state)
+    # from there the follower goes on as the run of its own does
+    assert follower.rng.random(4).tobytes() == alone.rng.random(4).tobytes()
+
+
+def test_a_follower_off_the_runs_draws_is_refused():
+    cfg = box_config(2, 2, 0.05, seed=9, init_key=2)
+    control = replace(cfg, decay_rate=0.0)
+    other_box = replace(control, domain=Domain(np.full(2, -1.0), np.full(2, 2.5)))
+    for follower in [_advanced(harness._Run(control), 1),          # another step
+                     harness._Run(replace(control, seed=10)),      # another stream
+                     harness._Run(control, substream(cfg.seed, 1)),
+                     harness._Run(other_box)]:
+        start = follower.state
+        with pytest.raises(ParameterError, match="^a follower must stand where"):
+            next(harness._Run(cfg).blocks(10, follower=follower))
+        assert follower.state == start
+
+
 @pytest.mark.parametrize("k", [harness._TREE_K, harness._TREE_K + 1])
 @pytest.mark.parametrize("tied", [(0, 1, 2), (1, 3, -1), (-3, -2, -1), (0, 2, -1)])
 def test_three_way_ties_go_to_the_lowest_index(k, tied):
@@ -1081,10 +1149,36 @@ def test_theorem_suite_runs_the_decaying_trajectory_once(monkeypatch):
         assert decaying[0][0] is decaying[1][0]
 
 
+def test_theorem_suite_without_its_control_makes_no_follower(monkeypatch):
+    runs, followers = [], []
+    real_init, real_blocks = harness._Run.__init__, harness._Run.blocks
+
+    def counting_init(self, *args, **kwargs):
+        runs.append(self)
+        real_init(self, *args, **kwargs)
+
+    def counting_blocks(self, *args, follower=None, **kwargs):
+        followers.append(follower)
+        return real_blocks(self, *args, follower=follower, **kwargs)
+
+    monkeypatch.setattr(harness._Run, "__init__", counting_init)
+    monkeypatch.setattr(harness._Run, "blocks", counting_blocks)
+    results = theorem_suite(pair_config(0.1, seed=23), 2050, 500, 100,
+                            negative_control=False)
+    assert len(results) == 3
+    assert len(runs) == 1 and followers == [None, None]
+    # with the control, it is the one follower, and its own tail follows
+    runs.clear()
+    followers.clear()
+    theorem_suite(pair_config(0.1, seed=23), 2050, 500, 100)
+    assert len(runs) == 2 and runs[1].config.decay_rate == 0.0
+    assert followers == [runs[1], None, None]
+
+
 def _suite_peak(n_steps):
-    # without the zero-decay control, a property_non_convergence run: it
-    # would double the test's time, as tracemalloc slows the step loop
-    # about 20 times
+    # without the zero-decay control, which steps through the whole run
+    # again: it would double the test's time, as tracemalloc slows the step
+    # loop about 20 times
     tracemalloc.start()
     try:
         theorem_suite(pair_config(0.1, seed=29), n_steps, 10_000, 1000,
