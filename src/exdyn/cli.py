@@ -14,9 +14,10 @@ the states of each chunk of draws as the engine yields them, so its memory
 does not grow with n_steps.  rowtext.csv_rows makes the chunk's rows in
 numpy, a sub-block at a time: it formats only the cells whose bits differ
 from the cell above, copies the text of the rest, and leaves to repr the
-few values its digit arithmetic does not cover.  Each sub-block's bytes
-are written as soon as they are made.  A mean that did not win a step
-keeps its value, so repeats are common: a third of the cells of a 1-D
+few values its digit arithmetic does not cover.  Each sub-block comes as
+one bytes object, its cells' NUL padding dropped by bytes.translate, and
+is written as soon as it is made.  A mean that did not win a step keeps
+its value, so repeats are common: a third of the cells of a 1-D
 two-category run at stride 1.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime error,

@@ -1,6 +1,6 @@
 """Trajectory CSV rows in numpy, with repr's shortest round-trip digits.
 
-csv_rows turns blocks of float64 columns into the bytes of CSV rows
+csv_rows turns blocks of float64 columns into bytes objects of CSV rows
 n,c1,c2,...: every cell is byte for byte floattext.fmt's text, repr's
 correctly rounded shortest conversion (Gay 1990): the shortest digits that
 read back as the same double, and of those the nearest to it.
@@ -53,9 +53,11 @@ import numpy as np
 
 from .floattext import fmt
 
-# cells per sub-block, the step column included: 768 rows of n,x1,x2,b.
-# 4096 cells ran trajectory-csv 8 % faster but peaked 1 MB higher
-_CELLS = 3 << 10
+# cells per sub-block, the step column included: 1024 rows of n,x1,x2,b, a
+# quarter of the engine's 4096-step chunk at stride 1.  5464 to 6144 cells
+# split the chunk in 3 and ran trajectory-csv 3 % faster, but raised its
+# peak RSS by 0.03-0.06 MB; 5120 split it in 4 as well, no faster
+_CELLS = 1 << 12
 # bytes per cell: fmt's longest text, '-2.2250738585072014e-308', then ','
 _WIDTH = 25
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for 53-bit doubles
@@ -235,10 +237,11 @@ def csv_rows(blocks, stride):
     """Bytes of the CSV lines n,c1,c2,... of blocks of float64 columns.
 
     blocks yields (rows, C) arrays, one row per step 0, stride, 2 stride,
-    ...; each bytes-like object yielded holds whole rows.  A cell whose bits
-    equal the cell above it in the same sub-block reuses its text, so a
-    -0.0 under a 0.0 still prints as -0.0.  The buffers are made once, on
-    the first block.
+    ...; each bytes object yielded holds the whole rows of one sub-block.
+    A cell whose bits equal the cell above it in the same sub-block reuses
+    its text, so a -0.0 under a 0.0 still prints as -0.0.  The rows are
+    gathered as NUL-padded cell slots, and bytes.translate drops the NULs.
+    The buffers are made once, on the first block.
     """
     step = 0
     text = None
@@ -279,8 +282,8 @@ def csv_rows(blocks, stride):
             rowtext = out[:r * (cols + 1)]
             text.take(place[:r].ravel(), axis=0, out=rowtext)
             rowtext.reshape(r, cols + 1, _WIDTH)[:, -1, -1] = ord("\n")
-            flat = rowtext.ravel()
-            yield np.compress(flat != 0, flat)
+            # cell texts are ASCII, so every NUL is padding
+            yield rowtext.tobytes().translate(None, b"\0")
 
 
 def _digit_groups(n, groups):

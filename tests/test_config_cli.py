@@ -421,10 +421,12 @@ n_steps = 20000
 window = 2000
 check_stride = 100
 """
-# small runs of every experiment a block size reaches: 7 CSVs in all
+# small runs of every experiment a block size reaches: 8 CSVs in all.  The
+# two trajectories put 4 and 10 cells in a row of the writer's sub-blocks
 _BLOCK_RUNS = {
     "snapshot": "preset = fig1\nn_steps = 300\ngrid_resolution = 64\n",
     "trajectory": "preset = fig3-left\nn_steps = 2000\nstride = 3\n",
+    "trajectory-k3-2d": _THREE_IN_2D + "n_steps = 2000\nstride = 2\n",
     "variance-curve": "preset = fig4\nlambda_grid = 0.05 0.2\nn_list = 10 100 inf\n"
                       "replicas = 301\n",
     "properties": _SMALL_SUITE,
@@ -448,11 +450,12 @@ def test_outputs_do_not_depend_on_any_block_size(tmp_path, monkeypatch):
     # stride, a replica tile, a variance slice and a grid row, and across
     # the snapshot's 2-D draws, and no byte of any CSV may move
     want = _block_run_outputs(tmp_path / "default")
-    assert len(want) == 7
+    assert len(want) == 8
     for name, size in [("_CHUNK", 7), ("_ENSEMBLE_CHUNK", 5), ("_DRAW_TILE", 3),
                        ("_VAR_SLICE", 5), ("_ASSIGN_CHUNK", 64)]:
         monkeypatch.setattr(exdyn.harness, name, size)
-    # 2 rows of n,x1,x2,b per sub-block of the trajectory writer
+    # 2 rows of n,x1,x2,b per sub-block of the trajectory writer, and 1 of
+    # the 10 cells of three means in 2-D and their weights
     monkeypatch.setattr(exdyn.rowtext, "_CELLS", 11)
     # harness imports _ASSIGN_CHUNK by name, so geometry's needs its own patch
     monkeypatch.setattr(exdyn.geometry, "_ASSIGN_CHUNK", 64)

@@ -6,10 +6,16 @@ byte.  The sweeps also count the values _shortest, the numpy path, leaves
 to repr, so a path that left everything to repr would fail them.
 """
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exdyn import rowtext
+from exdyn.cli import _trajectory_columns
+from exdyn.config import parse_config
+from exdyn.harness import _Run
 from exdyn.rowtext import _Buffers, _shortest, csv_rows
 
 _TINY = np.finfo(np.float64).tiny  # the smallest normal double
@@ -115,3 +121,27 @@ def test_repeats_copy_the_text_above_by_bits():
     # a NaN or a -0.0 under its equal are formatted afresh
     values = [0.5, 0.5, -0.0, 0.0, 0.0, np.nan, np.nan, 0.1, 0.1, 0.1, -0.1]
     assert _rows(values * 400) == _want(values * 400)
+
+
+def test_the_writer_holds_about_200_bytes_per_sub_block_cell():
+    # about 20 sub-blocks of the 1-D pair's n,x1,x2,b, in the engine's
+    # chunks.  The writer holds one sub-block's text, gathered rows and
+    # bytes, and the formatting temporaries: about 210 B per cell, where a
+    # bool mask of the gathered rows made it 295 B
+    spec = parse_config("preset = fig3-left\n", default_experiment="trajectory")
+    n_steps = 20 * (rowtext._CELLS // 4) - 1
+    blocks = list(_trajectory_columns(
+        _Run(spec.model).blocks(n_steps, 1, means_only=True), True))
+    list(csv_rows([blocks[0][:2]], 1))  # builds the tables outside the trace
+    count = 0
+    tracemalloc.start()
+    try:
+        for text in csv_rows(blocks, 1):
+            assert isinstance(text, bytes)
+            assert b"\0" not in text and text.endswith(b"\n")
+            count += 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count >= 20
+    assert peak < 256 * rowtext._CELLS, peak / rowtext._CELLS
