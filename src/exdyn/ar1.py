@@ -86,6 +86,9 @@ def mean_map(state4, decay_rate: float, n_nodes: int = 2048) -> np.ndarray:
     """
     if not decay_rate >= 0:
         raise ParameterError("mean_map requires decay_rate >= 0")
+    n_nodes = _whole(n_nodes, "n_nodes must be a whole number")
+    if n_nodes < 1:
+        raise ParameterError("n_nodes must be at least 1")
     state4 = np.asarray(state4, dtype=np.float64)
     if state4.shape != (4,):
         raise ParameterError("state must be the 4-vector (x1, x2, w1, w2)")

@@ -94,6 +94,7 @@ def _trajectory_columns(blocks, pair):
 
 def _run_trajectory(spec, outdir):
     n_steps, stride = _run_length(spec.n_steps, spec.stride)
+    stride = min(stride, n_steps + 1)  # the same rows; the writer counts in int64
     k, dim = spec.model.k, spec.model.domain.dim
     pair = k == 2 and dim == 1
     if pair:

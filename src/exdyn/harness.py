@@ -13,17 +13,17 @@ tagged substreams so they never disturb trajectory draws.
 Every single run goes through one engine: a step loop over Python floats
 whose source is generated for the run's shape and compiled once per shape.
 The shape is k, dim, whether the loop keeps winners, whether it decays the
-weights at all, and which states it records: every one (stride 1), every
-stride-th by a countdown, or none, for a chunk with no record point before
-its last step, whose record, if it falls there, is the state the loop
-returns.  Each chunk looks up its own loop, and a shape is compiled when a
-chunk first needs it.  The generated loop keeps every mean coordinate and
-weight in a local variable, which runs 3.5 to 8 times as many steps per
-second as one loop over indexed lists for every shape; numba and Cython,
-which could compile such a loop from one source, are not dependencies.  Up
-to _TREE_K categories it picks the winner by the running minimum's decision
-tree, unrolled.  Each loop is compiled under a file name that names its
-shape, with its source in linecache, so profiles and tracebacks show it.
+weights at all, and what it records after each step: the state, its means
+alone, or nothing.  A stretch looks its loop up once, and a shape is
+compiled when a stretch first needs it.  Above stride 1 the loop records
+nothing and runs to each record point, whose record is the state it
+returns.  The generated loop keeps every mean coordinate and weight in a
+local variable, which runs 3.5 to 8 times as many steps per second as one
+loop over indexed lists for every shape; numba and Cython, which could
+compile such a loop from one source, are not dependencies.  Up to _TREE_K
+categories it picks the winner by the running minimum's decision tree,
+unrolled.  Each loop is compiled under a file name that names its shape,
+with its source in linecache, so profiles and tracebacks show it.
 Ensembles of runs of any shape (k, dim) go through one lockstep engine,
 which advances every replica one step per round of numpy calls over the
 replica axis.
@@ -135,18 +135,15 @@ _TREE_K = 6
 
 
 @functools.lru_cache(maxsize=64)
-def _step_loop(k, dim, record_winners, records, decays, means_only=False):
+def _step_loop(k, dim, record_winners, records, decays):
     """Compile the step loop of one run shape from generated source.
 
-    loop(zs, t, stride, decay, state, recs, wins) runs the points whose
-    coordinates zs lists flat, dim floats each, from ``state``, the flat
-    tuple (*means.ravel(), *weights), t steps into the run.  It appends
-    each winner to wins if record_winners, and returns the new state.
-    ``records`` says which states it adds to recs: "every" state (stride
-    1), every stride-th by a countdown ("stride"), or "none", for a chunk
-    that holds no record point before its last step, which the caller
-    records from the returned state.  With means_only a record is the
-    state's k dim means alone.
+    loop(zs, decay, state, recs, wins) runs the points whose coordinates zs
+    lists flat, dim floats each, from ``state``, the flat tuple
+    (*means.ravel(), *weights).  It appends each winner to wins if
+    record_winners, and returns the new state.  ``records`` says what it
+    adds to recs after each step: the whole state ("states"), the state's
+    k dim means ("means"), or nothing ("none").
     Mean j's coordinate c is the local m{j}_{c} and its weight w{j}.  The
     arithmetic is _advance's: squared distances summed over the coordinates
     in order, a running minimum with strict < so ties go to the lower
@@ -208,25 +205,21 @@ def _step_loop(k, dim, record_winners, records, decays, means_only=False):
             body += distance(j, "d") + ["if d < best:", f"    i = {j}", "    best = d"]
         body += decay_all + dispatch(0, k)
     preamble = [f"{state} = state"]
-    rec = ", ".join(means) + "," if means_only else state
-    if records == "every":
+    if records != "none":
+        rec = state if records == "states" else ", ".join(means) + ","
         body += [f"add_rec(({rec}))"]
         preamble += ["add_rec = recs.extend"]
-    elif records == "stride":
-        body += ["left -= 1", "if not left:", "    left = stride",
-                 f"    add_rec(({rec}))"]
-        preamble += ["add_rec = recs.extend", "left = stride - t % stride"]
     preamble += ["add_win = wins.append"] * record_winners
     if dim > 1:
         preamble += [f"zs = zip(*[iter(zs)] * {dim})"]
 
-    source = "\n".join(["def loop(zs, t, stride, decay, state, recs, wins):",
+    source = "\n".join(["def loop(zs, decay, state, recs, wins):",
                         *indent(preamble),
                         f"    for {z} in zs:", *indent(indent(body)),
                         f"    return {state}", ""])
     # a file name that names the shape, with the source in linecache, so
     # profiles, tracebacks and inspect.getsource show the generated code
-    name = (f"<exdyn loop k={k} dim={dim} records={records}{' means' * means_only}"
+    name = (f"<exdyn loop k={k} dim={dim} records={records}"
             f"{' winners' * record_winners}{' decays' * decays}>")
     linecache.cache[name] = (len(source), None, source.splitlines(True), name)
     namespace = {}
@@ -276,20 +269,24 @@ class _Run:
         means_only a (rows, k dim) array of their means, at the run's steps
         that are multiples of ``stride``, counted from the run's start;
         stride None records none.  The stretch's own start is recorded,
-        when it is such a step, as a first yield with no winners.  A chunk
-        records no state when no record point falls there.  winners is the
-        chunk's array of winning categories, empty unless record_winners or
-        a cloud is given, as uint8 up to k = 256.  Each chunk's draws go to
-        the cloud after the loop has run them, in draw order, the point
-        absorbed by the run's t-th step born at step t.  A follower, a _Run
-        standing where this one does on the same draws, runs them too and
-        ends the stretch where a run of its own would, generator included.
+        when it is such a step, as a first yield with no winners.  Above
+        stride 1 a chunk runs the loop to each of its record points and
+        records the state it returns there.  winners is the chunk's array of
+        winning categories, empty unless record_winners or a cloud is given,
+        as uint8 up to k = 256.  Each chunk's draws go to the cloud after
+        the loop has run them, in draw order, the point absorbed by the
+        run's t-th step born at step t.  A follower, a _Run standing where
+        this one does on the same draws, runs them too and ends the stretch
+        where a run of its own would, generator included.
         """
         config = self.config
         k, dim = config.init_means.shape  # plain ints, as they go into source
         width = k * dim if means_only else k * dim + k
         decay = math.exp(-config.decay_rate)
         keep_winners, decays = record_winners or cloud is not None, decay != 1.0
+        records = "none" if stride != 1 else "means" if means_only else "states"
+        loop = _step_loop(k, dim, keep_winners, records, decays)
+        stops = records == "none" and stride is not None
         if follower is not None:
             if follower._draws() != self._draws():
                 raise ParameterError("a follower must stand where the run does on its draws")
@@ -303,17 +300,14 @@ class _Run:
             m = min(_CHUNK, end - t)
             zs = config.domain.uniform_points(self.rng, m)
             recs, wins, zs = [], [], zs.ravel().tolist()
-            # steps to the next record, past the chunk if it records none
-            ahead = m + 1 if stride is None else stride - t % stride
-            # a chunk with no record point before its last step needs no countdown
-            records = "every" if stride == 1 else "stride" if ahead < m else "none"
-            loop = _step_loop(k, dim, keep_winners, records, decays,
-                              means_only and records != "none")
-            state = self.state = loop(zs, t, stride, decay, self.state, recs, wins)
-            if records == "none" and ahead == m:
+            state, at = self.state, 0
+            for point in range(stride - t % stride, m + 1, stride) if stops else ():
+                state = loop(zs[at * dim:point * dim], decay, state, recs, wins)
                 recs.extend(state[:width])
+                at = point
+            state = self.state = loop(zs[at * dim:] if at else zs, decay, state, recs, wins)
             if follower is not None:
-                follower.state = follow(zs, t, None, fdecay, follower.state, None, None)
+                follower.state = follow(zs, fdecay, follower.state, None, None)
             if cloud is not None:
                 for birth, (j, z) in enumerate(zip(wins, zip(*[iter(zs)] * dim)), t + 1):
                     cloud.add(j, z, birth)

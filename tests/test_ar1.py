@@ -145,6 +145,16 @@ def test_closed_forms_reject_nonpositive_decay():
                  id="starvation-2d-winners"),
     pytest.param(lambda: longest_starvation(["0", "1"], 2), "winners must be",
                  id="starvation-text-winners"),
+    pytest.param(lambda: mean_map((0.25, 0.75, 5, 5), 0.1, 2.5), "whole number",
+                 id="mean-map-fractional-nodes"),
+    pytest.param(lambda: mean_map((0.25, 0.75, 5, 5), 0.1, 0), "n_nodes must be at least 1",
+                 id="mean-map-zero-nodes"),
+    pytest.param(lambda: mean_map((0.25, 0.75, 5, 5), 0.1, -5), "n_nodes must be at least 1",
+                 id="mean-map-negative-nodes"),
+    pytest.param(lambda: mean_map((0.25, 0.75, 5, 5), 0.1, math.nan), "whole number",
+                 id="mean-map-nan-nodes"),
+    pytest.param(lambda: mean_map((0.25, 0.75, 5, 5), 0.1, math.inf), "whole number",
+                 id="mean-map-inf-nodes"),
     pytest.param(lambda: property_non_collapse(unit_pair(0.1), 100, volume_floor=math.nan),
                  "volume_floor", id="collapse-nan-floor"),
     pytest.param(lambda: property_non_collapse(unit_pair(0.1), 100, volume_floor=-1.0),
@@ -152,8 +162,9 @@ def test_closed_forms_reject_nonpositive_decay():
 ])
 def test_closed_forms_and_checks_reject_bad_counts(no_run, call, message):
     # int() used to read 2.5 as 2 and -0.5 as 0, and NaN raised numpy's or
-    # Python's own errors; a bad volume floor failed the check quietly, and
-    # only after the run
+    # Python's own errors; mean_map ran 2 nodes for 0 or -5 and a wrong map
+    # for 2.5.  A bad volume floor failed the check quietly, and only after
+    # the run
     with pytest.raises(ParameterError, match=message):
         call()
 

@@ -316,6 +316,23 @@ def test_cli_trajectory_writes_reproducible_csv(tmp_path, capsys):
     assert "n,x1,x2,b" in head
 
 
+@pytest.mark.parametrize("n_steps", [0, 5])
+def test_cli_trajectory_strides_past_int64_write_step_0(tmp_path, n_steps):
+    # the writer counts the steps of the rows in int64, and a stride of
+    # 2**63 or more once raised a TypeError there, even with no steps
+    def rows(stride):
+        cfg = write(tmp_path, "run.cfg", bad_traj(n_steps=n_steps, stride=stride))
+        out = tmp_path / str(stride)
+        assert main(["trajectory", "--config", cfg, "--out", str(out)]) == 0
+        text = (out / "trajectory.csv").read_text()
+        return [line for line in text.splitlines() if not line.startswith("#")]
+
+    want = rows(n_steps + 1)
+    assert len(want) == 2 and want[1].startswith("0,")
+    for stride in (2**63, 10**20):
+        assert rows(stride) == want
+
+
 # more rows than the engine records in one chunk, so a chunk edge is crossed
 _CHUNK = exdyn.harness._CHUNK
 _PAST_BLOCK = _CHUNK + 3

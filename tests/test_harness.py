@@ -192,7 +192,7 @@ def box_config(k, dim, decay_rate, seed, init_key):
                        init_weights=init.uniform(0.5, 50.0, k), seed=seed)
 
 
-@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("stride", [1, 2, 7, _CHUNK - 1])
 @pytest.mark.parametrize("k,dim,record_winners", [
     pytest.param(2, 1, True, id="2-1"),
     pytest.param(4, 2, True, id="4-2"),
@@ -209,10 +209,11 @@ def test_run_trajectory_matches_step_reference_across_chunks(k, dim, record_winn
     # the engine stores a chunk's recorded states and winners when the
     # chunk ends: 2 chunks and 3 draws cross that edge twice, and stride 7
     # does not divide the chunk, so the records fall at a different offset
-    # in each chunk.  The shapes cover each form of generated loop: k = 1
-    # with no comparison, decision trees for k = 2 to 5, and at k = 12 a
-    # running minimum that picks the winner through a dispatch tree 4 tests
-    # deep.  The loop reads
+    # in each chunk.  Stride 2 runs the loop thousands of times a chunk,
+    # and _CHUNK - 1 puts a record one step before a chunk's end.  The
+    # shapes cover each form of generated loop: k = 1 with no comparison,
+    # decision trees for k = 2 to 5, and at k = 12 a running minimum that
+    # picks the winner through a dispatch tree 4 tests deep.  The loop reads
     # each chunk's coordinates as one flat list, dim at a time: dims 1 to 4
     # check that no point takes a coordinate of its neighbour
     n_steps = 2 * harness._CHUNK + 3
@@ -249,16 +250,15 @@ def test_continued_run_from_a_weight_decayed_to_zero_matches_step_reference(k, d
 
 
 def test_each_run_shape_builds_its_loop_once():
-    # every chunk looks its loop up, so the hits follow the chunk count;
-    # the shapes built are the misses.  The two full chunks hold records at
-    # stride 7 and run the countdown loop; the last 3 steps hold none and
-    # run the loop without one
+    # a stretch looks its loop up once; the shapes built are the misses.
+    # At stride 7 every chunk, with record points or without, runs the loop
+    # that records none
     harness._step_loop.cache_clear()
     cfg = box_config(3, 2, 0.01, seed=4, init_key=0)
     run_trajectory(cfg, 2 * harness._CHUNK + 3, stride=7)
-    assert harness._step_loop.cache_info().misses == 2
+    assert harness._step_loop.cache_info().misses == 1
     run_trajectory(cfg, 2 * harness._CHUNK + 3, stride=7)
-    assert harness._step_loop.cache_info().misses == 2
+    assert harness._step_loop.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 def test_identity_decay_builds_its_own_loop():
@@ -277,8 +277,9 @@ def test_generated_loops_show_their_source():
     loop = harness._step_loop(4, 2, False, "none", True)
     assert loop.__code__.co_filename == "<exdyn loop k=4 dim=2 records=none decays>"
     assert "def loop" in inspect.getsource(loop)
-    assert "left" not in inspect.getsource(loop)
-    assert "left -= 1" in inspect.getsource(harness._step_loop(4, 2, True, "stride", True))
+    # no loop counts steps down to a record point
+    for records in ("none", "states", "means"):
+        assert "left" not in inspect.getsource(harness._step_loop(4, 2, True, records, True))
 
 
 @pytest.mark.parametrize("stride", [1, 7, _CHUNK])
@@ -300,7 +301,7 @@ def test_means_only_blocks_are_the_full_blocks_means(k, dim, stride):
         assert means.shape == (len(states), k * dim)
         assert means.tobytes() == states[:, :k * dim].copy().tobytes()
         assert got_wins.tobytes() == want_wins.tobytes()
-    source = inspect.getsource(harness._step_loop(k, dim, False, "every", True, True))
+    source = inspect.getsource(harness._step_loop(k, dim, False, "means", True))
     means = ", ".join(f"m{j}_{c}" for j in range(k) for c in range(dim))
     assert [line.strip() for line in source.splitlines() if "add_rec((" in line] == \
         [f"add_rec(({means},))"]
@@ -356,7 +357,7 @@ def test_three_way_ties_go_to_the_lowest_index(k, tied):
     # tree, above it from a running minimum.  The first draw, the centre,
     # is exactly 0.25 from the three tied means and nearer than any other;
     # random draws follow, at stride 1 and at a stride whose one record
-    # falls on the run's last step, which runs the loop with no countdown
+    # falls on the run's last step, where the loop returns the state
     far = [[0.05, 0.05], [0.95, 0.95], [0.05, 0.95], [0.95, 0.05],
            [0.5, 0.02], [0.5, 0.98]]
     tied = [j % k for j in tied]
@@ -383,10 +384,9 @@ def test_three_way_ties_go_to_the_lowest_index(k, tied):
 ])
 @pytest.mark.parametrize("stride", [_CHUNK, 3 * _CHUNK])
 def test_records_on_a_chunk_end_match_step_reference(k, dim, record_winners, stride):
-    # a chunk with no record point before its last step runs the loop with
-    # no countdown, and its record, if any, is the state the loop returns:
-    # stride _CHUNK puts a record on each full chunk's last step, and a
-    # stride longer than the run records only the start
+    # a record is the state the loop returns at the record point: stride
+    # _CHUNK puts one on each full chunk's last step, and a stride longer
+    # than the run records only the start
     n_steps = 2 * _CHUNK + 3
     cfg = box_config(k, dim, 0.02, seed=k + stride, init_key=dim)
     rec = run_trajectory(cfg, n_steps, stride=stride, record_winners=record_winners)

@@ -8,7 +8,9 @@ stand in for a CPU without them.
 import contextlib
 import hashlib
 import importlib.util
+import inspect
 import io
+import json
 import math
 import os
 import subprocess
@@ -100,3 +102,61 @@ def test_ensemble_estimates_are_the_same_on_every_dispatch_level():
                               env=dict(env, NPY_DISABLE_CPU_FEATURES=level),
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == want, level
+
+
+# the five presets, scaled down where the full size takes seconds
+_PRESET_RUNS = {
+    "fig1": "preset = fig1\n",
+    "fig3-left": "preset = fig3-left\nn_steps = 20000\n",
+    "fig3-right": "preset = fig3-right\nn_steps = 20000\n",
+    "fig4": "preset = fig4\nreplicas = 200\nn_list = 100 1000\n",
+    "theorem-suite": "preset = theorem-suite\nn_steps = 20000\n",
+}
+
+
+def _preset_digests(runs, probe):
+    """{"name/file.csv": sha256} of every CSV of each run, and np.exp's
+    bits on probe under "np.exp".  A subprocess runs its source too, so it
+    imports what it uses."""
+    import contextlib
+    import hashlib
+    import io
+    import tempfile
+    from pathlib import Path
+
+    import numpy as np
+
+    from exdyn.cli import run
+    from exdyn.config import parse_config
+
+    digests = {"np.exp": np.exp(np.array(probe)).tobytes().hex()}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in runs.items():
+            spec = parse_config(text)
+            outdir = Path(tmp, name)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(spec.experiment, spec, outdir) == (0, None)
+            for path in sorted(outdir.iterdir()):
+                digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+@pytest.mark.skipif(not LEVELS, reason="this CPU has no dispatch level to switch off")
+def test_presets_are_the_same_on_every_dispatch_level():
+    want = _preset_digests(_PRESET_RUNS, _PROBE.tolist())
+    assert len(want) == 1 + 3 + 1 + 1 + 1 + 1  # np.exp, fig1's 3 CSVs, one each
+    script = (inspect.getsource(_preset_digests) + "import json, sys\n"
+              "print(json.dumps(_preset_digests(*json.loads(sys.argv[1]))))\n")
+    argv = [sys.executable, "-c", script, json.dumps([_PRESET_RUNS, _PROBE.tolist()])]
+    env = dict(os.environ, PYTHONPATH=str(Path(exdyn.__file__).resolve().parents[1]))
+    for level in LEVELS:
+        proc = subprocess.run(argv, env=dict(env, NPY_DISABLE_CPU_FEATURES=level),
+                              capture_output=True, text=True, check=True)
+        got = json.loads(proc.stdout)
+        differ = {name for name in want.keys() | got.keys() if got.get(name) != want.get(name)}
+        if "np.exp" in differ:
+            # np.exp weighs fig1's exemplars, and its kernels round apart:
+            # the open np.exp item of the ROADMAP's "same CSV bytes on every
+            # CPU", which moves the weights to math.exp
+            differ -= {"np.exp", "fig1/exemplars.csv"}
+        assert differ == set(), level
