@@ -22,7 +22,8 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .model import Domain, ModelConfig, _advance, _whole, limit_total_weight
+from .model import (Domain, ModelConfig, _advance, _count, _decay_factor, _whole,
+                    limit_total_weight)
 
 INFINITE = math.inf
 _FIXED_POINT_TOL = 1e-10
@@ -35,21 +36,9 @@ def _is_unit_pair(config: ModelConfig) -> bool:
     return config.k == 2 and config.domain == Domain(np.array([0.0]), np.array([1.0]))
 
 
-def _check_rate(decay_rate):
-    # a rate whose factor exp(-decay_rate) rounds to 1.0 gives K = 1, and
-    # the closed forms divide by 1 - K
-    if not decay_rate > 0:
-        raise ParameterError("closed forms require decay_rate > 0")
-    if math.exp(-decay_rate) == 1.0:
-        raise ParameterError(f"closed forms require exp(-decay_rate) < 1, "
-                             f"got decay_rate {decay_rate}")
-    return float(decay_rate)
-
-
 def boundary_params(decay_rate: float):
     """(K, sigma) of the boundary AR(1) recursion."""
-    _check_rate(decay_rate)
-    e = math.exp(-decay_rate)
+    e = _decay_factor(decay_rate, "closed forms")
     K = (3.0 - e) / (2.0 * (2.0 - e))
     sigma = (1.0 - e) / (4.0 * math.sqrt(3.0) * (2.0 - e))
     return K, sigma
@@ -62,7 +51,7 @@ def fixed_point(decay_rate: float) -> np.ndarray:
     one-step map (mean_map at its default node count); the relative
     residual must not exceed 1e-10.
     """
-    _check_rate(decay_rate)
+    _decay_factor(decay_rate, "closed forms")
     W = limit_total_weight(decay_rate)
     z = np.array([0.25, 0.75, W / 2.0, W / 2.0])
     # residual is relative on the weight entries, which scale like 1/decay_rate
@@ -86,9 +75,7 @@ def mean_map(state4, decay_rate: float, n_nodes: int = 2048) -> np.ndarray:
     """
     if not decay_rate >= 0:
         raise ParameterError("mean_map requires decay_rate >= 0")
-    n_nodes = _whole(n_nodes, "n_nodes must be a whole number")
-    if n_nodes < 1:
-        raise ParameterError("n_nodes must be at least 1")
+    n_nodes = _count(n_nodes, "n_nodes", 1)
     state4 = np.asarray(state4, dtype=np.float64)
     if state4.shape != (4,):
         raise ParameterError("state must be the 4-vector (x1, x2, w1, w2)")
@@ -133,8 +120,7 @@ def mean_map(state4, decay_rate: float, n_nodes: int = 2048) -> np.ndarray:
 def linearization(decay_rate: float):
     """(J, H, Hsqrt): Jacobian of the expected map at the fixed point, the
     one-step noise covariance there, and its matrix square root."""
-    _check_rate(decay_rate)
-    e = math.exp(-decay_rate)
+    e = _decay_factor(decay_rate, "closed forms")
     a = (5.0 - e) / (4.0 * (2.0 - e))
     c = (1.0 - e) / (4.0 * (2.0 - e))
     J = np.array([
@@ -169,9 +155,7 @@ def variance_of_Y(decay_rate: float, n) -> float:
     K, sigma = boundary_params(decay_rate)
     if n == INFINITE:
         return sigma**2 / (1.0 - K**2)
-    n = _whole(n, "n must be a whole number or math.inf")
-    if n < 0:
-        raise ParameterError("n must be nonnegative or math.inf")
+    n = _count(n, "n")
     return sigma**2 * (1.0 - K ** (2 * n)) / (1.0 - K**2)
 
 
@@ -196,14 +180,15 @@ def second_order_variance_of_Y(decay_rate: float) -> float:
     the physical state unchanged, so the next term is O(L^2) in E[y^2] and
     O(L^3) in Var[Y] = L E[y^2].
     """
-    lam = _check_rate(decay_rate)
+    _decay_factor(decay_rate, "closed forms")
+    lam = float(decay_rate)
     return lam / 48.0 * (1.0 - 7.0 * lam / 60.0)
 
 
 def stationary_autocovariance(decay_rate: float, r: int) -> float:
     """Equilibrium autocovariance sigma^2 K^|r| / (1 - K^2) at lag r."""
     K, sigma = boundary_params(decay_rate)
-    r = _whole(r, "lag r must be a whole number")
+    r = _whole(r, "lag r")
     return sigma**2 * K ** abs(r) / (1.0 - K**2)
 
 
@@ -217,9 +202,7 @@ def simulate_ar1(decay_rate: float, n_steps: int, rng) -> np.ndarray:
     result stays bounded.
     """
     K, sigma = boundary_params(decay_rate)
-    n_steps = _whole(n_steps, "n_steps must be a whole number")
-    if n_steps < 0:
-        raise ParameterError("n_steps must be nonnegative")
+    n_steps = _count(n_steps, "n_steps")
     y = np.zeros(n_steps + 1)
     prev = 0.0
     for start in range(1, n_steps + 1, _NORMAL_BLOCK):

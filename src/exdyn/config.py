@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ParameterError
 from .floattext import fmt
-from .model import Domain, ModelConfig
+from .model import Domain, ModelConfig, _decay_factor
 from .presets import preset_keys, scatter_for_seed
 
 EXPERIMENTS = ("trajectory", "variance-curve", "snapshot", "properties", "ar1-table")
@@ -183,15 +183,18 @@ def _flag(key, raw, lineno):
     return raw == "true", raw
 
 
+def _decaying(key, lam, lineno, needs):
+    # the closed forms' rate rule, model._decay_factor, as a ConfigError
+    try:
+        _decay_factor(lam, needs)
+    except ParameterError as err:
+        raise ConfigError(str(err), line=lineno, field=key) from None
+
+
 def _decay_grid(key, raw, lineno):
     grid = _float_list(key, raw, lineno)
     for lam in grid:
-        if lam <= 0:
-            raise ConfigError(f"lambda_grid entries must be > 0, got {lam}",
-                              line=lineno, field=key)
-        if math.exp(-lam) == 1.0:
-            raise ConfigError(f"lambda_grid entry {lam} is too small: "
-                              "exp(-lambda) rounds to 1.0", line=lineno, field=key)
+        _decaying(key, lam, lineno, "lambda_grid entries")
     return tuple(grid), _format_floats(grid)
 
 
@@ -247,10 +250,8 @@ def _parse_model(seen, seed, experiment):
     decay = _float_value("lambda", *_raw(seen, "lambda"), minimum=0.0)
     # the property checks' variance floor needs a closed form, which a
     # decay whose factor exp(-lambda) rounds to 1.0 does not have
-    if experiment == "properties" and decay and math.exp(-decay) == 1.0:
-        raise ConfigError(f"lambda {decay} is too small for the property checks: "
-                          "exp(-lambda) rounds to 1.0; use 0 or a larger rate",
-                          line=seen["lambda"][1], field="lambda")
+    if experiment == "properties" and decay:
+        _decaying("lambda", decay, seen["lambda"][1], "property checks with forgetting")
 
     domain_vals = _float_list("domain", *_raw(seen, "domain"))
     if len(domain_vals) % 2:

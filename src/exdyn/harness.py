@@ -82,8 +82,9 @@ from .model import (
     Domain,
     ExemplarCloud,
     ModelConfig,
+    _count,
+    _decay_factor,
     _seed,
-    _whole,
     limit_total_weight,
 )
 from .rng import GEOMETRY_STREAM, substream
@@ -229,13 +230,7 @@ def _step_loop(k, dim, record_winners, records, decays):
 
 def _run_length(n_steps, stride):
     # run_trajectory's argument checks, in its order
-    n_steps = _whole(n_steps, "n_steps must be a whole number")
-    stride = _whole(stride, "stride must be a whole number")
-    if n_steps < 0:
-        raise ParameterError("n_steps must be nonnegative")
-    if stride < 1:
-        raise ParameterError("stride must be a positive integer")
-    return n_steps, stride
+    return _count(n_steps, "n_steps"), _count(stride, "stride", 1)
 
 
 class _Run:
@@ -384,12 +379,7 @@ class EnsembleEstimate:
 
 def equilibrium_steps(decay_rate: float) -> int:
     """ceil(400 / decay_rate), the horizon treated as 'effectively infinite'."""
-    if not 0 < decay_rate < math.inf:
-        raise ParameterError("equilibrium horizon requires a finite decay_rate > 0")
-    # such a rate decays nothing, and 400 / decay_rate may overflow to inf
-    if math.exp(-decay_rate) == 1.0:
-        raise ParameterError(f"equilibrium horizon requires exp(-decay_rate) < 1, "
-                             f"got decay_rate {decay_rate}")
+    _decay_factor(decay_rate, "equilibrium horizons")
     return math.ceil(400.0 / decay_rate)
 
 
@@ -534,18 +524,12 @@ def boundary_samples(decay_rate: float, n_targets, replicas: int,
     r), so any single row can be reproduced with run_trajectory on that
     stream.
     """
-    if not 0 < decay_rate < math.inf:
-        raise ParameterError("boundary ensembles require a finite decay_rate > 0")
-    replicas = _whole(replicas, "replica count must be a whole number")
-    if replicas < 1:
-        raise ParameterError("need at least one replica")
-    targets = sorted({_whole(n, "step targets must be whole numbers") for n in n_targets})
-    if targets and targets[0] < 0:
-        raise ParameterError("step targets must be nonnegative")
+    _decay_factor(decay_rate, "boundary ensembles")
+    replicas = _count(replicas, "replica count", 1)
+    targets = sorted({_count(n, "each step target") for n in n_targets})
     master_seed = _seed(master_seed, "master_seed")
-    if _whole(index, "index must be a whole number") < 0:
-        raise ParameterError("index must be nonnegative")
-    half_w = limit_total_weight(decay_rate) / 2.0  # checked before any stream is made
+    _count(index, "index")
+    half_w = limit_total_weight(decay_rate) / 2.0
     gens = [replica_stream(master_seed, index, r) for r in range(replicas)]
     states = _lockstep_states(np.array([[0.25], [0.75]]), np.array([half_w, half_w]),
                               decay_rate, _UNIT_INTERVAL, gens, targets)
@@ -589,25 +573,16 @@ def boundary_variance_curve(lambda_grid, n_list, replicas, master_seed):
     grid = [float(lam) for lam in lambda_grid]
     if not grid:
         raise ParameterError("lambda_grid must be non-empty")
-    if not all(0 < lam < math.inf for lam in grid):
-        raise ParameterError("boundary ensembles require a finite decay_rate > 0")
-    if _whole(replicas, "replica count must be a whole number") < 2:
-        raise ParameterError("replica count must be at least 2")
-    horizons = []
-    for n in n_list:
-        if n != math.inf:
-            n = _whole(n, "entries of n_list must be whole numbers or math.inf")
-            if n < 0:
-                raise ParameterError("entries of n_list must be >= 0 or math.inf")
-        horizons.append(n)
+    for lam in grid:
+        _decay_factor(lam, "boundary ensembles")
+    _count(replicas, "replica count", 2)
+    horizons = [n if n == math.inf else _count(n, "each entry of n_list other than math.inf")
+                for n in n_list]
     if not horizons:
         raise ParameterError("n_list must be non-empty")
     master_seed = _seed(master_seed, "master_seed")
-    # every grid point's horizons and starting weight are checked before any runs
     effs = [{n: (equilibrium_steps(lam) if n == math.inf else n) for n in horizons}
             for lam in grid]
-    for lam in grid:
-        limit_total_weight(lam)
 
     estimates = []
     for i, (lam, eff) in enumerate(zip(grid, effs)):
@@ -671,12 +646,8 @@ class _StarvationTracker:
 def longest_starvation(winners, k: int, burn_in: int = 0) -> int:
     """Longest run of consecutive post-burn-in steps leaving some category
     without a single win.  winners[t] is the winner of update t+1."""
-    k = _whole(k, "k must be a whole number")
-    if k < 1:
-        raise ParameterError("k must be at least 1")
-    if not burn_in >= 0:
-        raise ParameterError("burn_in must be nonnegative")
-    burn_in = _whole(burn_in, "burn_in must be a whole number")
+    k = _count(k, "k", 1)
+    burn_in = _count(burn_in, "burn_in")
     # the tracker counts only the values 0..k-1: any other winner would be
     # taken for a step that no category won
     w = np.asarray(winners)
@@ -691,16 +662,8 @@ def longest_starvation(winners, k: int, burn_in: int = 0) -> int:
 def _extinction_tracker(config, window):
     # checks the non-extinction input, and returns the tracker of its
     # burn-in of 10 ceil(1 / decay_rate) steps
-    if config.decay_rate <= 0:
-        raise ParameterError("non-extinction check requires decay_rate > 0")
-    # such a rate decays nothing: the burn-in would pass the run, or
-    # overflow below about 5.6e-309
-    if math.exp(-config.decay_rate) == 1.0:
-        raise ParameterError(f"non-extinction check requires exp(-decay_rate) < 1, "
-                             f"got decay_rate {config.decay_rate}")
-    if not window >= 1:
-        raise ParameterError("window must be positive")
-    _whole(window, "window must be a whole number")
+    _decay_factor(config.decay_rate, "non-extinction checks")
+    _count(window, "window", 1)
     return _StarvationTracker(config.k, 10 * math.ceil(1.0 / config.decay_rate))
 
 
@@ -775,7 +738,8 @@ def property_non_collapse(config: ModelConfig, n_steps: int,
         raise ParameterError("volume_floor must be finite and nonnegative")
     # the config's means are finite and distinct, so this checks n_samples
     _check_input(config.init_means, n_samples)
-    rec = run_trajectory(config, n_steps, stride=check_stride)
+    n, stride = _run_length(n_steps, check_stride)
+    rec = run_trajectory(config, n, stride=stride)
     return _collapse_report(config, n_steps, rec.means, n_samples, volume_floor)
 
 
@@ -793,9 +757,12 @@ def _late_window_problem(config, n_steps):
     if not _is_unit_pair(config):
         return ("k" if config.k != 2 else "domain",
                 "this check is calibrated to the 2-category uniform model on [0, 1]")
-    if config.decay_rate and math.exp(-config.decay_rate) == 1.0:
-        # variance_floor's closed form needs exp(-decay_rate) < 1
-        return "lambda", "decay_rate must be 0 or have exp(-decay_rate) < 1"
+    if config.decay_rate:
+        # variance_floor's closed form needs a rate that decays
+        try:
+            _decay_factor(config.decay_rate, "non-convergence checks with forgetting")
+        except ParameterError as err:
+            return "lambda", str(err)
     if n_steps < 8:
         return "n_steps", "n_steps too small for a late-window estimate"
 
@@ -1105,9 +1072,7 @@ def figure1_snapshot(config: ModelConfig, n_steps: int,
         raise ParameterError("snapshots are defined for 2-D configs")
     if not prune_threshold >= 0:
         raise ParameterError("prune_threshold must be nonnegative")
-    grid_resolution = _whole(grid_resolution, "grid_resolution must be a whole number")
-    if grid_resolution < 2:
-        raise ParameterError("grid_resolution must be at least 2")
+    grid_resolution = _count(grid_resolution, "grid_resolution", 2)
     n_steps, _ = _run_length(n_steps, 1)
     k = config.k
     if scatter_points is not None:

@@ -40,23 +40,51 @@ def _as_point(z, dim):
     return z
 
 
-def _whole(value, message) -> int:
+def _whole(value, name) -> int:
     # int() alone would truncate 2.7 to 2 and raise its own errors on NaN and
     # inf; integers pass as they are, since float() overflows past 1e308
+    if type(value) is int:
+        return value
     if isinstance(value, numbers.Integral):
         return int(value)
     if not float(value).is_integer():
-        raise ParameterError(message)
+        raise ParameterError(f"{name} must be a whole number")
     return int(value)
+
+
+def _count(value, name, least=0) -> int:
+    """``value`` as an int, a whole number of at least ``least``."""
+    count = _whole(value, name)
+    if count < least:
+        raise ParameterError(f"{name} must be nonnegative" if least == 0
+                             else f"{name} must be at least {least}")
+    return count
 
 
 def _seed(value, name) -> int:
     # a seed keys SeedSequence, which takes any nonnegative integer; every
-    # seed of the package is a whole number that fits in 64 bits
-    seed = _whole(value, f"{name} must be a whole number")
+    # seed and stream key of the package is a whole number that fits in 64 bits
+    seed = _whole(value, name)
     if not 0 <= seed < 2**64:
         raise ParameterError(f"{name} must fit in 64 bits")
     return seed
+
+
+def _decay_factor(rate, needs) -> float:
+    """The factor exp(-rate) of a rate that decays: finite, > 0, and with
+    the factor below 1.0.
+
+    The closed forms divide by 1 - K, which is 0 where the factor rounds to
+    1.0, and a horizon or burn-in of order 1 / rate outgrows any run.  That
+    happens up to rate 2**-54; from the next double on the factor is
+    1 - 2**-53.  ``needs`` names what requires the rule, for the message.
+    """
+    if 0 < rate < math.inf:
+        decay = math.exp(-rate)
+        if decay != 1.0:
+            return decay
+    raise ParameterError(f"{needs} require a finite decay_rate > 0 with "
+                         f"exp(-decay_rate) < 1, got decay_rate {rate}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +128,7 @@ class Domain:
 
     def uniform_points(self, rng, n):
         """n i.i.d. uniform points, shape (n, N)."""
-        u = rng.random((n, self.dim))
+        u = rng.random((_count(n, "n"), self.dim))
         # in place, with the roundings of lower + (upper - lower) * u
         u *= self.upper - self.lower
         u += self.lower
@@ -142,6 +170,7 @@ class SystemState:
             raise ParameterError("means and weights must have matching category counts")
         if not np.all((self.weights >= 0) & (self.weights < np.inf)):
             raise ParameterError("all weights must be finite and nonnegative")
+        self.step = _count(self.step, "step")
 
     @property
     def k(self) -> int:
@@ -181,11 +210,10 @@ class ModelConfig:
     dist = SimpleNamespace(kind="uniform")
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _count(self.k, "k", 1))
         object.__setattr__(self, "init_means", _as_points(self.init_means, self.domain.dim))
         w = np.atleast_1d(np.asarray(self.init_weights, dtype=np.float64))
         object.__setattr__(self, "init_weights", w)
-        if self.k < 1:
-            raise ParameterError("k must be at least 1")
         if not 0 <= self.decay_rate < math.inf:
             raise ParameterError("decay_rate must be finite and nonnegative")
         if self.init_means.shape != (self.k, self.domain.dim):
@@ -268,6 +296,8 @@ def _advance(means, weights, z, decay) -> int:
 
 def step(state: SystemState, z, decay_rate: float, domain: Domain = None) -> SystemState:
     """One update of the dynamics for incoming point z; returns a new state."""
+    if not decay_rate >= 0:
+        raise ParameterError("step requires decay_rate >= 0")
     z = _as_point(z, state.dim)
     if domain is not None and not domain.contains(z):
         raise DomainError(f"point {z} lies outside the domain")
@@ -297,8 +327,6 @@ def limit_total_weight(decay_rate: float) -> float:
 
 def weight_bound(init_weights, decay_rate: float) -> float:
     """Uniform bound max(sum w0, 1/(1-e^-L)) on the total weight of a run."""
-    if not decay_rate > 0:
-        raise ParameterError("weight_bound requires decay_rate > 0")
     w0 = float(np.sum(np.asarray(init_weights, dtype=np.float64)))
     return max(w0, limit_total_weight(decay_rate))
 
@@ -313,15 +341,15 @@ class ExemplarCloud:
     """
 
     def __init__(self, k: int, dim: int):
-        self.k = k
-        self.dim = dim
-        self._locations = [[] for _ in range(k)]
-        self._weights0 = [[] for _ in range(k)]
-        self._births = [[] for _ in range(k)]
+        self.k = _count(k, "k", 1)
+        self.dim = _count(dim, "dim", 1)
+        self._locations = [[] for _ in range(self.k)]
+        self._weights0 = [[] for _ in range(self.k)]
+        self._births = [[] for _ in range(self.k)]
 
     def _index(self, category) -> int:
         # a negative list index would file the points under another category
-        c = _whole(category, "category must be a whole number")
+        c = _whole(category, "category")
         if not 0 <= c < self.k:
             raise ParameterError(f"category must lie in [0, {self.k}), got {c}")
         return c
@@ -349,16 +377,21 @@ class ExemplarCloud:
         reach the cloud.
         """
         category = self._index(category)
+        birth_step = _count(birth_step, "birth_step")
         location = tuple(location)
         if len(location) != self.dim:
             raise ParameterError(
                 f"location has {len(location)} coordinates, expected {self.dim}")
         self._locations[category].append(location)
         self._weights0[category].append(1.0)
-        self._births[category].append(int(birth_step))
+        self._births[category].append(birth_step)
 
     def category_arrays(self, category: int, now: int, decay_rate: float):
         """(locations, current weights) for one category at step ``now``."""
+        category = self._index(category)
+        now = _count(now, "now")
+        if not 0 <= decay_rate < math.inf:
+            raise ParameterError("decay_rate must be finite and nonnegative")
         locs = np.array(self._locations[category], dtype=np.float64).reshape(-1, self.dim)
         w0 = np.array(self._weights0[category], dtype=np.float64)
         births = np.array(self._births[category], dtype=np.int64)
@@ -367,6 +400,8 @@ class ExemplarCloud:
 
     def pruned(self, now: int, decay_rate: float, threshold: float):
         """Per-category (locations, weights) with current weight > threshold."""
+        if not threshold >= 0:
+            raise ParameterError("threshold must be nonnegative")
         out = []
         for j in range(self.k):
             locs, w = self.category_arrays(j, now, decay_rate)

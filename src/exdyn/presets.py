@@ -21,11 +21,13 @@ Available presets:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .floattext import fmt
-from .model import Domain, limit_total_weight
+from .model import Domain, _count, limit_total_weight
 from .rng import INIT_STREAM, substream
 
 
@@ -136,11 +138,17 @@ def scatter_for_seed(centers, count: int, sigma: float, domain: Domain, seed):
     """
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, domain.dim)
     k = centers.shape[0]
-    if count < 1:
-        raise ConfigError("scatter_count must be at least 1", field="scatter_count")
-    if sigma < 0:
-        raise ConfigError("scatter_sigma must be nonnegative", field="scatter_sigma")
-    rng = substream(seed, INIT_STREAM)
+    try:
+        count = _count(count, "scatter_count", 1)
+    except ParameterError as err:
+        raise ConfigError(str(err), field="scatter_count") from None
+    if not 0 <= sigma < math.inf:
+        raise ConfigError("scatter_sigma must be finite and nonnegative",
+                          field="scatter_sigma")
+    try:
+        rng = substream(seed, INIT_STREAM)
+    except ParameterError as err:
+        raise ConfigError(str(err), field="seed") from None
     points = np.empty((k, count, domain.dim))
     for j in range(k):
         draws = rng.normal(loc=centers[j], scale=sigma, size=(count, domain.dim))

@@ -8,6 +8,8 @@ initial-condition scatter never share draws with the trajectory itself.
 
 import numpy as np
 
+from .model import _seed
+
 # Spawn tags for auxiliary streams hanging off a run seed.  The bare seed
 # (no tag) always drives the trajectory.
 INIT_STREAM = 1
@@ -19,7 +21,9 @@ def substream(seed, *key):
 
     ``substream(seed)`` is the main trajectory stream; ``substream(seed, i,
     r)`` is replica ``r`` of grid point ``i`` of the ensemble under ``seed``.
+    The seed and every key must be whole numbers that fit in 64 bits.
     """
-    ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key))
+    ss = np.random.SeedSequence(_seed(seed, "seed"),
+                                spawn_key=tuple([_seed(k, "stream key") for k in key]))
     return np.random.Generator(np.random.Philox(ss))
 

@@ -645,15 +645,14 @@ def test_variance_curve_rejects_nan_decay():
 
 
 DECAYS_NOTHING = r"exp\(-decay_rate\) < 1"
-NOT_FINITE = "limit total weight is not finite"
 
 
 @pytest.mark.parametrize("call,message", [
     pytest.param(lambda: boundary_variance_curve([0.05, 1e-320], [math.inf], 3, 1),
                  DECAYS_NOTHING, id="curve-equilibrium"),
     pytest.param(lambda: boundary_variance_curve([0.05, 1e-320], [3], 3, 1),
-                 NOT_FINITE, id="curve-finite-horizon"),
-    pytest.param(lambda: boundary_samples(1e-320, [3], 3, 1), NOT_FINITE, id="samples"),
+                 DECAYS_NOTHING, id="curve-finite-horizon"),
+    pytest.param(lambda: boundary_samples(1e-320, [3], 3, 1), DECAYS_NOTHING, id="samples"),
     pytest.param(lambda: property_non_convergence(pair_config(1e-17, seed=3), 100),
                  DECAYS_NOTHING, id="non-convergence"),
     pytest.param(lambda: property_non_extinction(pair_config(1e-17, seed=3), 100),
@@ -987,7 +986,7 @@ def test_properties_pass_on_active_run():
 def test_non_extinction_rejects_nan_window():
     # nan < 1 is false, so a sign test alone turns a NaN window into a
     # failed check
-    with pytest.raises(ParameterError, match="window must be positive"):
+    with pytest.raises(ParameterError, match="window must be a whole number"):
         property_non_extinction(pair_config(0.1, seed=12), 2000, window=math.nan)
 
 
@@ -1202,18 +1201,19 @@ def test_theorem_suite_memory_does_not_grow_with_n_steps():
 
 @pytest.mark.parametrize("decay_rate,k,n_steps,window,check_stride,message", [
     pytest.param(0.0, 2, 2000, 500, 100,
-                 "non-extinction check requires decay_rate > 0", id="zero-decay"),
+                 "non-extinction checks require a finite decay_rate > 0 with "
+                 "exp(-decay_rate) < 1, got decay_rate 0.0", id="zero-decay"),
     pytest.param(0.1, 3, 2000, 500, 100,
                  "this check is calibrated to the 2-category uniform model on [0, 1]",
                  id="three-categories"),
-    pytest.param(0.1, 2, 2000, 0, 100, "window must be positive", id="zero-window"),
-    pytest.param(0.1, 2, 2000, math.nan, 100, "window must be positive", id="nan-window"),
+    pytest.param(0.1, 2, 2000, 0, 100, "window must be at least 1", id="zero-window"),
+    pytest.param(0.1, 2, 2000, math.nan, 100, "window must be a whole number",
+                 id="nan-window"),
     pytest.param(0.1, 2, 2000, math.inf, 100, "window must be a whole number",
                  id="inf-window"),
     pytest.param(0.1, 2, 2000, 2.5, 100, "window must be a whole number",
                  id="fractional-window"),
-    pytest.param(0.1, 2, 2000, 500, 0, "stride must be a positive integer",
-                 id="zero-stride"),
+    pytest.param(0.1, 2, 2000, 500, 0, "stride must be at least 1", id="zero-stride"),
     pytest.param(0.1, 2, 7, 500, 100, "n_steps too small for a late-window estimate",
                  id="seven-steps"),
     pytest.param(0.1, 2, -1, 500, 100, "n_steps must be nonnegative",
@@ -1475,3 +1475,13 @@ def test_grid_boundary_segments_split_pair():
     assert np.all(segs[:, :, 0] == 0.5)
     lengths = np.abs(segs[:, 1, 1] - segs[:, 0, 1])
     assert lengths.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_checks_take_a_whole_float_k():
+    # ModelConfig(k=2.0) kept the float, and the tracker's list of k zeros
+    # and the suite's late window raised TypeError
+    cfg = pair_config(0.1, seed=5)
+    as_float = replace(cfg, k=2.0)
+    assert property_non_extinction(as_float, 400, 50) == property_non_extinction(cfg, 400, 50)
+    assert [r.stats for r, _ in theorem_suite(as_float, 400, 50, 100)] == [
+        r.stats for r, _ in theorem_suite(cfg, 400, 50, 100)]

@@ -15,7 +15,8 @@ import math
 
 import pytest
 
-from exdyn import limit_total_weight
+from exdyn import ParameterError, equilibrium_steps, limit_total_weight
+from exdyn.model import _decay_factor
 
 # rate: (float.hex of exp(-rate), float.hex of limit_total_weight(rate))
 _PINNED = {
@@ -40,3 +41,18 @@ def test_limit_weights_are_what_they_were(rate):
     assert limit_total_weight(rate).hex() == _PINNED[rate][1], (
         f"limit_total_weight({rate}), 1 / -math.expm1(-{rate}), is no longer "
         "the pinned double; every run started at it moves")
+
+
+def test_the_rate_rule_turns_at_2_to_the_minus_54():
+    # exp(-rate) rounds to 1.0 up to rate 2**-54, and the next double is the
+    # first rate that decays, by 1 - 2**-53: model._decay_factor refuses the
+    # one and takes the other.  A libm that rounds otherwise moves the edge
+    # that README states
+    edge = 2.0**-54
+    assert math.exp(-edge) == 1.0
+    with pytest.raises(ParameterError, match=r"exp\(-decay_rate\) < 1"):
+        _decay_factor(edge, "this check")
+    first = math.nextafter(edge, 1.0)
+    assert math.exp(-first) == 1.0 - 2.0**-53
+    assert _decay_factor(first, "this check") == 1.0 - 2.0**-53
+    assert equilibrium_steps(first) < 400 * 2**54

@@ -465,3 +465,25 @@ def test_cloud_empty_category_reads_as_empty_arrays():
     kept = cloud.pruned(now=0, decay_rate=0.1, threshold=0.0)
     assert np.array_equal(kept[0][0], [[0.4]]) and np.array_equal(kept[0][1], [1.0])
     assert kept[1][0].shape == (0, 1) and kept[1][1].shape == (0,)
+
+
+def test_model_config_stores_k_as_an_int_checked_first():
+    # k = 2.0 was stored as a float, which the property checks then refused
+    # with a TypeError, and k = 2.5 was reported as a shape (2.5, 1)
+    cfg = ModelConfig(k=2.0, decay_rate=0.1, domain=UNIT, init_means=np.array([[0.25], [0.75]]),
+                      init_weights=np.array([1.0, 1.0]), seed=1)
+    assert type(cfg.k) is int and cfg.k == 2
+    for bad in (2.5, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="^k must be a whole number$"):
+            ModelConfig(k=bad, decay_rate=0.1, domain=UNIT,
+                        init_means=np.array([[0.25], [0.75]]),
+                        init_weights=np.array([1.0, 1.0]), seed=1)
+
+
+def test_cloud_takes_whole_float_sizes_and_birth_steps():
+    cloud = ExemplarCloud(k=2.0, dim=np.int64(1))
+    assert (type(cloud.k), type(cloud.dim)) == (int, int)
+    cloud.add(0, [0.1], birth_step=3.0)
+    cloud.add(0, [0.2], birth_step=np.uint8(4))
+    assert np.array_equal(cloud.category_arrays(0, 4.0, math.log(2.0))[1], [0.5, 1.0])
+

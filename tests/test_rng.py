@@ -36,3 +36,11 @@ def test_generator_methods_draw_what_they_drew(method):
     assert hashlib.sha256(values.tobytes()).hexdigest() == digest, (
         f"Generator.{method} no longer draws the pinned values from substream{KEY}; "
         "every CSV drawn with it changes")
+
+
+def test_whole_float_and_numpy_keys_make_the_int_keys_stream():
+    # the key rule, which tests/test_contract.py holds to bad keys, converts
+    # a whole float or numpy integer to the int that keys the same stream
+    want = substream(7, 2, 3).random(4)
+    for seed, key in ((7.0, (2.0, 3)), (np.uint64(7), (np.int64(2), np.uint8(3)))):
+        assert np.array_equal(substream(seed, *key).random(4), want)
