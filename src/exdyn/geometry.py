@@ -54,10 +54,11 @@ def assign_cells(points, means) -> np.ndarray:
     is strictly below its running minimum, so a tie stays with the lower
     index, as with argmin.  The move is branch-free: labels = max(labels,
     i * less), which is exact as every label is below i when category i is
-    tried.  The buffers are allocated once per call, three float arrays of
-    min(len(points), _ASSIGN_CHUNK) rows, 64 KB each at most, so beside the
-    labels the memory is O(_ASSIGN_CHUNK) whatever k, dim and the number of
-    points.
+    tried; category 1, which finds every label 0, copies less into them.
+    The last category leaves the running minimum alone.  The buffers are
+    allocated once per call, three float arrays of min(len(points),
+    _ASSIGN_CHUNK) rows, 64 KB each at most, so beside the labels the
+    memory is O(_ASSIGN_CHUNK) whatever k, dim and the number of points.
 
     The means must be finite (GeometryError otherwise).  A row's distances
     are then all NaN (a NaN coordinate, label 0) or free of NaN, and the
@@ -84,10 +85,14 @@ def assign_cells(points, means) -> np.ndarray:
         for i in range(1, len(means)):
             _squared_distances(block, means[i], d, t)
             np.less(d, b, out=lt)
-            np.copyto(mv, lt)
-            np.multiply(mv, i, out=mv)
-            np.maximum(lab, mv, out=lab)
-            np.minimum(b, d, out=b)
+            if i == 1:
+                np.copyto(lab, lt)
+            else:
+                np.copyto(mv, lt)
+                np.multiply(mv, i, out=mv)
+                np.maximum(lab, mv, out=lab)
+            if i < len(means) - 1:
+                np.minimum(b, d, out=b)
     return labels
 
 

@@ -143,8 +143,10 @@ def _step_loop(k, dim, record_winners, records, decays):
     lists flat, dim floats each, from ``state``, the flat tuple
     (*means.ravel(), *weights).  It appends each winner to wins if
     record_winners, and returns the new state.  ``records`` says what it
-    adds to recs after each step: the whole state ("states"), the state's
-    k dim means ("means"), or nothing ("none").
+    appends to recs after each step, one recs.append per value: the whole
+    state ("states"), the state's k dim means ("means"), or nothing
+    ("none").  The appends name the lists, not prebound methods, as
+    CPython specialises a list's append only when called that way.
     Mean j's coordinate c is the local m{j}_{c} and its weight w{j}.  The
     arithmetic is _advance's: squared distances summed over the coordinates
     in order, a running minimum with strict < so ties go to the lower
@@ -153,9 +155,12 @@ def _step_loop(k, dim, record_winners, records, decays):
     decision tree: node (j, lead) tests d{j} < d{lead}, lead being the
     running minimum's index before step j, and each leaf absorbs into its
     lead.  The tests are the running minimum's on the same values, so the
-    winner is the same for ties and NaN too.  Above _TREE_K the tree's
-    2^(k-1) leaves take longer to compile than a run of a few chunks saves,
-    so the loop keeps the running minimum and dispatches on its index.
+    winner is the same for ties and NaN too.  At k = 2 the tree's one test
+    writes both squared distances as expressions of the differences
+    e{j}_{c}, each the same products summed in the same order, with no
+    local to store them in.  Above _TREE_K the tree's 2^(k-1) leaves take
+    longer to compile than a run of a few chunks saves, so the loop keeps
+    the running minimum and dispatches on its index.
     Dropping _advance's 0.0 + before the first e * e is exact, as e * e is
     never -0.0, and so is dropping the decay when ``decays`` is false: the
     decay factor is then 1.0 (decay_rate 0, or up to about 5.6e-17), and
@@ -178,13 +183,13 @@ def _step_loop(k, dim, record_winners, records, decays):
     def absorb(j):
         return ([f"v = w{j} + 1.0"]
                 + [f"m{j}_{c} = (m{j}_{c} * w{j} + z_{c}) / v" for c in coords]
-                + [f"w{j} = v"] + [f"add_win({j})"] * record_winners)
+                + [f"w{j} = v"] + [f"wins.append({j})"] * record_winners)
 
     def tree(j, lead):
         # the running minimum from category j on, lead holding it so far
         if j == k:
             return absorb(lead)
-        return [f"if d{j} < d{lead}:", *indent(tree(j + 1, j)),
+        return [f"if {dist[j]} < {dist[lead]}:", *indent(tree(j + 1, j)),
                 "else:", *indent(tree(j + 1, lead))]
 
     def dispatch(lo, hi):
@@ -196,21 +201,23 @@ def _step_loop(k, dim, record_winners, records, decays):
                 "else:", *indent(dispatch(mid, hi))]
 
     decay_all = [f"w{j} *= decay" for j in cats if decays]
-    if k <= _TREE_K:
+    if k == 2 <= _TREE_K:
+        # the tree's one test holds both squared distances as expressions
+        body = [f"e{j}_{c} = m{j}_{c} - z_{c}" for j in cats for c in coords]
+        dist = [" + ".join(f"e{j}_{c} * e{j}_{c}" for c in coords) for j in cats]
+    elif k <= _TREE_K:
         # k = 1 needs no distance
         body = [line for j in cats if k > 1 for line in distance(j, f"d{j}")]
-        body += decay_all + tree(1, 0)
+        dist = [f"d{j}" for j in cats]
     else:
         body = distance(0, "best") + ["i = 0"]
         for j in range(1, k):
             body += distance(j, "d") + ["if d < best:", f"    i = {j}", "    best = d"]
-        body += decay_all + dispatch(0, k)
+    body += decay_all + (tree(1, 0) if k <= _TREE_K else dispatch(0, k))
     preamble = [f"{state} = state"]
     if records != "none":
-        rec = state if records == "states" else ", ".join(means) + ","
-        body += [f"add_rec(({rec}))"]
-        preamble += ["add_rec = recs.extend"]
-    preamble += ["add_win = wins.append"] * record_winners
+        rec = means + [f"w{j}" for j in cats] * (records == "states")
+        body += [f"recs.append({x})" for x in rec]
     if dim > 1:
         preamble += [f"zs = zip(*[iter(zs)] * {dim})"]
 
@@ -794,7 +801,7 @@ class _LateWindow:
         self.rows += len(means)
         self.means[r:self.rows] = means
         steps = np.diff(self.means[max(r - 1, 0):self.rows], axis=0)
-        self.moves += (np.abs(steps) > MOVEMENT_EPSILON).sum(axis=0)
+        self.moves += np.count_nonzero(np.abs(steps) > MOVEMENT_EPSILON, axis=0)
 
 
 def _column_variance(a) -> np.ndarray:
@@ -803,21 +810,25 @@ def _column_variance(a) -> np.ndarray:
 
     np.var takes the mean as np.add.reduce(a, axis=0) / n, then adds the
     squared deviations with an axis-0 reduce.  With k >= 2 columns numpy
-    adds such a reduce row after row, so the squares can be made
-    _VAR_SLICE rows at a time into one buffer whose row 0 carries the
-    running total, and each slice reduced together with it.  (A single
-    column would be summed pairwise, in another order.)
+    adds such a reduce row after row.  (A single column would be summed
+    pairwise, in another order.)  Here the deviations are squared
+    _VAR_SLICE rows at a time into a (k, _VAR_SLICE + 1) buffer, column c
+    of a into row c of it, behind the running total in the row's first
+    cell, and np.add.accumulate adds along each row: by its definition,
+    one value after another, which is the reduce's order.
     """
-    n = len(a)
+    n, k = a.shape
     mean = np.add.reduce(a, axis=0) / n
-    buf = np.zeros((min(n, _VAR_SLICE) + 1, a.shape[1]))
+    buf = np.zeros((k, min(n, _VAR_SLICE) + 1))
     for start in range(0, n, _VAR_SLICE):
-        rows = a[start:start + _VAR_SLICE]
-        sq = buf[1:1 + len(rows)]
-        np.subtract(rows, mean, out=sq)
+        rows = a[start:start + _VAR_SLICE].T
+        m = rows.shape[1]
+        sq, acc = buf[:, 1:1 + m], buf[:, :1 + m]
+        np.subtract(rows, mean[:, None], out=sq)
         np.multiply(sq, sq, out=sq)
-        buf[0] = np.add.reduce(buf[:1 + len(rows)], axis=0)
-    return buf[0] / n
+        np.add.accumulate(acc, axis=1, out=acc)
+        buf[:, 0] = buf[:, m]
+    return buf[:, 0] / n
 
 
 def _convergence_report(config, n_steps, late) -> PropertyReport:

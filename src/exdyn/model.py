@@ -243,8 +243,13 @@ def _coincident_pair(points):
     i is the lowest index that a later row equals and j the lowest such
     later row.  A stable lexicographic sort puts equal rows next to each
     other in index order, so this is O(k log k).  Rows compare with ``==``:
-    -0.0 equals 0.0 and a row holding a NaN equals no row.
+    -0.0 equals 0.0 and a row holding a NaN equals no row.  A set of the
+    rows as tuples compares them the same way (-0.0 and 0.0 hash alike, and
+    each NaN that tolist makes is its own object), so when it keeps every
+    row, the rows are distinct and the sort is skipped.
     """
+    if len(set(map(tuple, points.tolist()))) == len(points):
+        return None
     order = np.lexsort(points.T)
     rows = points[order]
     same = np.flatnonzero(np.all(rows[1:] == rows[:-1], axis=1))
@@ -387,19 +392,26 @@ class ExemplarCloud:
         self._births[category].append(birth_step)
 
     def category_arrays(self, category: int, now: int, decay_rate: float):
-        """(locations, current weights) for one category at step ``now``."""
+        """(locations, current weights) for one category at step ``now``.
+
+        ``now`` may not precede the category's latest birth: an exemplar
+        would weigh more than at its birth (ParameterError)."""
         category = self._index(category)
         now = _count(now, "now")
         if not 0 <= decay_rate < math.inf:
             raise ParameterError("decay_rate must be finite and nonnegative")
+        births = np.array(self._births[category], dtype=np.int64)
+        if births.size and now < births.max():
+            raise ParameterError(
+                f"now must be at least the category's latest birth, {births.max()}, got {now}")
         locs = np.array(self._locations[category], dtype=np.float64).reshape(-1, self.dim)
         w0 = np.array(self._weights0[category], dtype=np.float64)
-        births = np.array(self._births[category], dtype=np.int64)
         ages = now - births
         return locs, w0 * np.exp(-decay_rate * ages)
 
     def pruned(self, now: int, decay_rate: float, threshold: float):
-        """Per-category (locations, weights) with current weight > threshold."""
+        """Per-category (locations, weights) with current weight > threshold,
+        at a ``now`` that no birth comes after (ParameterError)."""
         if not threshold >= 0:
             raise ParameterError("threshold must be nonnegative")
         out = []

@@ -301,10 +301,13 @@ def test_means_only_blocks_are_the_full_blocks_means(k, dim, stride):
         assert means.shape == (len(states), k * dim)
         assert means.tobytes() == states[:, :k * dim].copy().tobytes()
         assert got_wins.tobytes() == want_wins.tobytes()
+    # the loop's record statements, all in its body, so run once per step,
+    # name the k dim means in state order
     source = inspect.getsource(harness._step_loop(k, dim, False, "means", True))
-    means = ", ".join(f"m{j}_{c}" for j in range(k) for c in range(dim))
-    assert [line.strip() for line in source.splitlines() if "add_rec((" in line] == \
-        [f"add_rec(({means},))"]
+    body = " " * 8
+    records = [line for line in source.splitlines() if "recs." in line]
+    assert [line.removeprefix(body) for line in records] == \
+        [f"recs.append(m{j}_{c})" for j in range(k) for c in range(dim)]
 
 
 def _advanced(run, n_steps, **kwargs):
@@ -481,6 +484,29 @@ def test_ties_go_to_the_lower_index(means, ties):
     rec = run_trajectory(cfg, n, record_winners=True, rng=_FixedDraws(draws))
     assert rec.winners.tolist() == [min(a, b) for a, b in ties]
     assert_replays_step(cfg, rec, n, rng=_FixedDraws(draws))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_underflowed_squared_distances_tie(dim):
+    # z lies nearer the mean at 3e-170 than the one at 0, but both squared
+    # distances, 1e-340 and 4e-340, underflow to 0.0: a tie, which goes to
+    # category 0 in every comparison, as a comparison of |e| would not
+    means = np.array([[0.0, 0.5], [3e-170, 0.5]])[:, :dim]
+    z = np.array([2e-170, 0.5])[:dim]
+    assert abs(means[1, 0] - z[0]) < abs(means[0, 0] - z[0])
+    assert (means[0, 0] - z[0]) ** 2 == (means[1, 0] - z[0]) ** 2 == 0.0
+    box = Domain(np.zeros(dim), np.ones(dim))
+    cfg = ModelConfig(k=2, decay_rate=0.1, domain=box, init_means=means,
+                      init_weights=np.ones(2), seed=0)
+    assert classify(z, means) == 0
+    assert assign_cells(z[None], means).tolist() == [0]
+    rec = run_trajectory(cfg, 1, record_winners=True, rng=_FixedDraws(z))
+    assert rec.winners.tolist() == [0]
+    want = step(SystemState(means, np.ones(2)), z, 0.1)
+    assert np.array_equal(rec.means[1], want.means)
+    out = harness._lockstep_states(means, np.ones(2), 0.1, box, [_FixedDraws(z)], [1])
+    assert np.array_equal(out[1][0][0], want.means)
+    assert np.array_equal(out[1][1][0], want.weights)
 
 
 def test_distances_add_coordinates_in_order():
@@ -1045,14 +1071,17 @@ def test_non_convergence_reads_the_tail_of_one_run(decay_rate, n_steps):
 
 @pytest.mark.parametrize("n", [1, 2, _VAR_SLICE - 1, _VAR_SLICE, _VAR_SLICE + 1, 250_001])
 @pytest.mark.parametrize("constant", [False, True], ids=["varying", "constant-column"])
-def test_column_variance_is_np_var_bit_for_bit(n, constant):
-    # the late window's shape, (n, 2) C-contiguous; 250_001 rows is the
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_column_variance_is_np_var_bit_for_bit(n, constant, k):
+    # the late window's shape, (n, k) C-contiguous; 250_001 rows is the
     # window of a 1e6-step run.  Means near 0.25 and 0.75 with small moves,
-    # as the unit pair's, and a column of another scale
+    # as the unit pair's, and a column of another scale.  3 and 4 columns
+    # add means near 0.5, as a window of more means or coordinates would
     rng = np.random.default_rng(n)
-    a = np.empty((n, 2))
+    a = np.empty((n, k))
     a[:, 0] = 0.25 + 1e-3 * rng.standard_normal(n)
     a[:, 1] = 0.75 if constant else 1e4 * rng.random(n)
+    a[:, 2:] = 0.5 + 1e-3 * rng.standard_normal((n, k - 2))
     assert np.array_equal(harness._column_variance(a), a.var(axis=0))
 
 

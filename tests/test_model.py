@@ -457,6 +457,19 @@ def test_cloud_pruning_drops_light_exemplars():
     assert np.array_equal(kept[1][0], [[0.8]])
 
 
+def test_cloud_refuses_a_now_before_a_birth():
+    # at now = 0 the exemplar born at step 10 weighed e^1 = 2.718 > 1
+    cloud = ExemplarCloud(k=2, dim=1)
+    cloud.add(0, (0.5,), 10)
+    with pytest.raises(ParameterError, match="latest birth, 10, got 0"):
+        cloud.category_arrays(0, 0, 0.1)
+    with pytest.raises(ParameterError, match="latest birth, 10, got 9"):
+        cloud.pruned(9, 0.1, 0.0)
+    assert cloud.category_arrays(0, 10, 0.1)[1].tolist() == [1.0]
+    # category 1 has no births
+    assert cloud.category_arrays(1, 0, 0.1)[0].shape == (0, 1)
+
+
 def test_cloud_empty_category_reads_as_empty_arrays():
     cloud = ExemplarCloud(k=2, dim=1)
     cloud.add(0, [0.4], birth_step=0)
