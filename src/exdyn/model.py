@@ -241,22 +241,19 @@ def _coincident_pair(points):
     i, then j > i, would meet; None when the rows are distinct.
 
     i is the lowest index that a later row equals and j the lowest such
-    later row.  A stable lexicographic sort puts equal rows next to each
-    other in index order, so this is O(k log k).  Rows compare with ``==``:
-    -0.0 equals 0.0 and a row holding a NaN equals no row.  A set of the
-    rows as tuples compares them the same way (-0.0 and 0.0 hash alike, and
-    each NaN that tolist makes is its own object), so when it keeps every
-    row, the rows are distinct and the sort is skipped.
+    later row: one O(k) pass keeps each row's first and second index, and
+    the pair is the second-seen row whose first index is lowest.  Rows are
+    keyed as tuples, which compare as ``==`` does: -0.0 equals 0.0 (they
+    hash alike), and a row holding a NaN equals no row (each NaN that
+    tolist makes is its own object).
     """
-    if len(set(map(tuple, points.tolist()))) == len(points):
-        return None
-    order = np.lexsort(points.T)
-    rows = points[order]
-    same = np.flatnonzero(np.all(rows[1:] == rows[:-1], axis=1))
-    if same.size == 0:
-        return None
-    t = same[np.argmin(order[same])]
-    return int(order[t]), int(order[t + 1])
+    first, second = {}, {}
+    for j, row in enumerate(map(tuple, points.tolist())):
+        if row in first:
+            second.setdefault(row, j)
+        else:
+            first[row] = j
+    return min((first[row], j) for row, j in second.items()) if second else None
 
 
 def _squared_norms(diff) -> np.ndarray:

@@ -20,9 +20,11 @@ A timed sample runs C chunks of 4096 uniform draws, as ``_Run.blocks``
 hands them to the loop: one flat list of coordinates per chunk, fresh
 record and winner lists per chunk, the state carried from chunk to chunk.
 The same seeded draws go to every root.  The table gives each shape's
-median ns per step over the rounds, per root, and the second root's change
-against the first.  The last line of output is one JSON object with every
-sample.
+median ns per step over the rounds, per root, the second root's change
+against the first, and in how many rounds the second root was the faster.
+A shape whose loop is the same in both roots shows the spread that a
+change must stand out of.  The last line of output is one JSON object with
+every sample.
 """
 
 from __future__ import annotations
@@ -121,14 +123,16 @@ def main(argv=None):
         print(f"round {r + 1} of {args.rounds}", file=sys.stderr)
 
     heads = ["shape"] + [f"ns/step {root}" for root in args.roots]
-    heads += ["change"] * (len(harnesses) == 2)
+    heads += ["change", "lower in"] * (len(harnesses) == 2)
     print("| " + " | ".join(heads) + " |")
     print("|" + "---|" * len(heads))
     for shape, per_root in samples.items():
         medians = [statistics.median(s) for s in per_root]
         cells = [shape] + [f"{m:.0f}" for m in medians]
         if len(medians) == 2:
-            cells.append(f"{100 * (medians[1] / medians[0] - 1):+.1f} %")
+            lower = sum(b < a for a, b in zip(*per_root))
+            cells += [f"{100 * (medians[1] / medians[0] - 1):+.1f} %",
+                      f"{lower} of {args.rounds}"]
         print("| " + " | ".join(cells) + " |")
     print(json.dumps({"roots": args.roots, "rounds": args.rounds, "chunk": CHUNK,
                       "chunks": args.chunks, "python": sys.version.split()[0],
