@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError
-from .model import Domain, _as_points, _coincident_pair
+from .errors import GeometryError, ParameterError
+from .model import Domain, _as_points, _coincident_pair, _count
 
 _ASSIGN_CHUNK = 1 << 13
 
@@ -121,11 +121,10 @@ def _check_input(means, n_samples):
     pair = _coincident_pair(means)
     if pair is not None:
         raise GeometryError(f"generator means {pair[0]} and {pair[1]} coincide")
-    if not float(n_samples).is_integer():
-        raise GeometryError("n_samples must be a whole number")
-    if n_samples < 1:
-        raise GeometryError("n_samples must be at least 1")
-    return means, int(n_samples)
+    try:
+        return means, _count(n_samples, "n_samples", 1)
+    except ParameterError as err:
+        raise GeometryError(str(err)) from None
 
 
 def _labelled_blocks(means, domain: Domain, n_samples: int, rng):

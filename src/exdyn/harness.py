@@ -859,10 +859,10 @@ def property_non_convergence(config: ModelConfig, n_steps: int) -> PropertyRepor
     Accepts decay_rate = 0 so the converging case can serve as a negative
     control (it must come out failed).  Only the last quarter is recorded:
     the run's head is a stretch that records nothing."""
-    problem = _late_window_problem(config, n_steps)
+    n, _ = _run_length(n_steps, 1)
+    problem = _late_window_problem(config, n)
     if problem:
         raise ParameterError(problem[1])
-    n, _ = _run_length(n_steps, 1)
     run = _Run(config)
     for _ in run.blocks(n - n // 4):
         pass
@@ -891,6 +891,7 @@ def property_macqueen_cvt(config: ModelConfig, n_steps: int) -> PropertyReport:
     converging normally."""
     if config.decay_rate != 0:
         raise ParameterError("the centroidal-limit check requires decay_rate = 0")
+    n_steps = _count(n_steps, "n_steps")
     problem = _cvt_problem(n_steps)
     if problem:
         raise ParameterError(problem[1])

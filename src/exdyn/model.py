@@ -41,13 +41,14 @@ def _as_point(z, dim):
 
 
 def _whole(value, name) -> int:
-    # int() alone would truncate 2.7 to 2 and raise its own errors on NaN and
-    # inf; integers pass as they are, since float() overflows past 1e308
+    # int() alone would truncate 2.7 to 2, parse the text '5' and raise its
+    # own errors on NaN, inf and None; integers pass as they are, since
+    # float() overflows past 1e308, and other real numbers must be whole
     if type(value) is int:
         return value
     if isinstance(value, numbers.Integral):
         return int(value)
-    if not float(value).is_integer():
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
         raise ParameterError(f"{name} must be a whole number")
     return int(value)
 

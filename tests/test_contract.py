@@ -4,14 +4,14 @@ Each row of _ROWS names a callable of exdyn.__all__ (or a public method
 of one of its classes), one of its numeric parameters, the rule that parameter
 follows, the error class the rule raises, and a call that passes a value
 as that parameter with every other argument valid.  Each rule lists the
-classes of bad value it refuses: NaN, +-inf, 2.5 where a whole number is
-due, values below its range, seeds and stream keys from 2**64 on, and
-decay rates whose factor exp(-rate) rounds to 1.0.  Every row is fed every
-bad value of its rule, and must raise the row's error class with the
-no_run fixture in place, so nothing was simulated and no stream was made
-first.  A callable that takes a number, or a public method of a class
-in exdyn.__all__ that does, must appear in the table, or with its reason
-in _EXEMPT.
+classes of bad value it refuses: NaN, +-inf, 2.5 and non-numbers such as
+text where a whole number is due, values below its range, seeds and stream
+keys from 2**64 on, and decay rates whose factor exp(-rate) rounds to 1.0.
+Every row is fed every bad value of its rule, and must raise the row's
+error class with the no_run fixture in place, so nothing was simulated and
+no stream was made first.  A callable that takes a number, or a public
+method of a class in exdyn.__all__ that does, must appear in the table, or
+with its reason in _EXEMPT.
 """
 
 import inspect
@@ -63,7 +63,9 @@ from exdyn import (
 NAN, INF = math.nan, math.inf
 # the largest rate whose factor exp(-rate) rounds to 1.0 (tests/test_libm.py)
 TINY = 2.0**-54
-NOT_WHOLE = (NAN, INF, -INF, 2.5)
+# not numbers, even where int() would parse them
+NOT_NUMBERS = ("3", b"3", None, [3], 3j)
+NOT_WHOLE = (NAN, INF, -INF, 2.5) + NOT_NUMBERS
 
 # rule -> the bad values it refuses
 _BAD = {
@@ -71,7 +73,7 @@ _BAD = {
     "count >= 1": NOT_WHOLE + (0, -1),
     "count >= 2": NOT_WHOLE + (1, 0),
     "whole number": NOT_WHOLE,
-    "count or math.inf": (NAN, -INF, 2.5, -1),
+    "count or math.inf": (NAN, -INF, 2.5, -1) + NOT_NUMBERS,
     "category of 2": NOT_WHOLE + (-1, 2),
     "seed": NOT_WHOLE + (-1, 2**64),
     # closed forms, ensembles, the equilibrium horizon and non-extinction
