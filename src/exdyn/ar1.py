@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .model import (Domain, ModelConfig, _advance, _count, _decay_factor, _whole,
+from .model import (Domain, ModelConfig, _advance, _count, _decay_factor, _real, _whole,
                     limit_total_weight)
 
 INFINITE = math.inf
@@ -73,7 +73,7 @@ def mean_map(state4, decay_rate: float, n_nodes: int = 2048) -> np.ndarray:
     rule is exact up to rounding and the node count only moves the result
     at machine precision.
     """
-    if not decay_rate >= 0:
+    if not _real(decay_rate, "decay_rate") >= 0:
         raise ParameterError("mean_map requires decay_rate >= 0")
     n_nodes = _count(n_nodes, "n_nodes", 1)
     state4 = np.asarray(state4, dtype=np.float64)

@@ -134,16 +134,19 @@ def _run_snapshot(spec, outdir):
     snap = figure1_snapshot(spec.model, spec.n_steps, spec.prune_threshold,
                             scatter_points=spec.scatter_points,
                             grid_resolution=spec.grid_resolution)
-    rows = ([fmt(p[0]), fmt(p[1]), fmt(w), str(int(c))]
-            for p, w, c in zip(snap.positions, snap.weights, snap.categories))
+    # tolist() hands fmt Python floats and ints, not a numpy scalar per cell
+    rows = ([fmt(x), fmt(y), fmt(w), str(c)]
+            for (x, y), w, c in zip(snap.positions.tolist(), snap.weights.tolist(),
+                                    snap.categories.tolist()))
     _write_csv(outdir / "exemplars.csv", spec,
                ["x", "y", "weight", "category"], [_csv_block(rows)])
-    rows = ([str(j), fmt(m[0]), fmt(m[1]), fmt(w)]
-            for j, (m, w) in enumerate(zip(snap.means, snap.category_weights)))
+    rows = ([str(j), fmt(x), fmt(y), fmt(w)]
+            for j, ((x, y), w) in enumerate(zip(snap.means.tolist(),
+                                                snap.category_weights.tolist())))
     _write_csv(outdir / "means.csv", spec,
                ["category", "x", "y", "weight"], [_csv_block(rows)])
-    rows = ([fmt(s[0, 0]), fmt(s[0, 1]), fmt(s[1, 0]), fmt(s[1, 1])]
-            for s in snap.boundary_segments)
+    # each segment's x0, y0, x1, y1 in the order its (2, 2) endpoints hold them
+    rows = (map(fmt, s) for s in snap.boundary_segments.reshape(-1, 4).tolist())
     _write_csv(outdir / "boundaries.csv", spec,
                ["x0", "y0", "x1", "y1"], [_csv_block(rows)])
     return EXIT_OK, None

@@ -10,8 +10,13 @@ the squared distances, and ``cell_stats`` adds each cell's points one after
 another.  Both are written so that every label and every sum is the same,
 bit for bit, as a broadcast ``argmin`` and an ``np.add.at`` over all points
 at once (tests/test_geometry.py keeps those as the reference).  The
-snapshot's boundary grid (harness._grid_boundary_segments) is classified a
-block of whole grid rows at a time and keeps only where the labels change.
+snapshot's boundary grid (harness._grid_boundary_segments) labels a block
+of whole grid rows at a time and keeps only where the labels change.  It
+takes assign_cells' running minimum, ``_nearest``, so the tie rule is
+written once, but not its distances: on the grid, a centre's squared
+distance to a mean is the sum of a row square and a column square, each
+computed once per category, so a block's distances take one broadcast add
+per category where assign_cells makes five array passes.
 """
 
 from __future__ import annotations
@@ -48,17 +53,14 @@ def assign_cells(points, means) -> np.ndarray:
     """Nearest-mean label for each row of ``points``, ties to the lower index.
 
     Same squared-distance comparison as model.classify.  Each block of
-    _ASSIGN_CHUNK rows goes through a loop over the categories: category i's
-    squared distances are summed coordinate by coordinate, in _squared_norms'
-    order, into one (rows,) buffer, and a row moves to i only when that sum
-    is strictly below its running minimum, so a tie stays with the lower
-    index, as with argmin.  The move is branch-free: labels = max(labels,
-    i * less), which is exact as every label is below i when category i is
-    tried; category 1, which finds every label 0, copies less into them.
-    The last category leaves the running minimum alone.  The buffers are
-    allocated once per call, three float arrays of min(len(points),
-    _ASSIGN_CHUNK) rows, 64 KB each at most, so beside the labels the
-    memory is O(_ASSIGN_CHUNK) whatever k, dim and the number of points.
+    _ASSIGN_CHUNK rows goes through _nearest's loop over the categories:
+    category i's squared distances are summed coordinate by coordinate, in
+    _squared_norms' order, into one (rows,) buffer, and a row moves to i
+    only when that sum is strictly below its running minimum, so a tie
+    stays with the lower index, as with argmin.  The buffers are allocated
+    once per call, three float arrays of min(len(points), _ASSIGN_CHUNK)
+    rows, 64 KB each at most, so beside the labels the memory is
+    O(_ASSIGN_CHUNK) whatever k, dim and the number of points.
 
     The means must be finite (GeometryError otherwise).  A row's distances
     are then all NaN (a NaN coordinate, label 0) or free of NaN, and the
@@ -71,29 +73,40 @@ def assign_cells(points, means) -> np.ndarray:
     labels = np.zeros(len(points), dtype=np.intp)
     rows = min(len(points), _ASSIGN_CHUNK)
     best, dist, tmp = np.empty((3, rows))
-    # tmp's storage, free once the distances are summed, holds i * less;
-    # less is copied in first, as multiply(less, i) would cast it through a
-    # 64 KB buffer on every call
-    moved = tmp.view(np.intp)
     less = np.empty(rows, dtype=bool)
     for start in range(0, len(points), _ASSIGN_CHUNK):
         block = points[start:start + _ASSIGN_CHUNK]
         m = len(block)
-        lab, b, d, t, lt = labels[start:start + m], best[:m], dist[:m], tmp[:m], less[:m]
-        mv = moved[:m]
-        _squared_distances(block, means[0], b, t)
-        for i in range(1, len(means)):
-            _squared_distances(block, means[i], d, t)
-            np.less(d, b, out=lt)
-            if i == 1:
-                np.copyto(lab, lt)
-            else:
-                np.copyto(mv, lt)
-                np.multiply(mv, i, out=mv)
-                np.maximum(lab, mv, out=lab)
-            if i < len(means) - 1:
-                np.minimum(b, d, out=b)
+        t = tmp[:m]
+        _nearest(len(means), lambda i, out: _squared_distances(block, means[i], out, t),
+                 labels[start:start + m], best[:m], dist[:m], less[:m])
     return labels
+
+
+def _nearest(k, fill, labels, best, dist, less) -> None:
+    # the running minimum of assign_cells and the snapshot's boundary grid,
+    # on 1-D buffers of one length.  fill(i, out) writes category i's
+    # squared distances into out; labels must hold 0 on entry, which k = 1
+    # leaves.  A row moves to i only when i's distance is strictly below
+    # the minimum so far (ties stay with the lower index), by labels =
+    # max(labels, i * less), exact as every label is below i when i is
+    # tried; category 1 copies less in, and the last category leaves the
+    # minimum alone.  dist's storage, free once the minimum is taken, holds
+    # i * less; less is copied in first, as multiply(less, i) would cast it
+    # through a 64 KB buffer on every call
+    moved = dist.view(np.intp)[:len(dist)]
+    fill(0, best)
+    for i in range(1, k):
+        fill(i, dist)
+        np.less(dist, best, out=less)
+        if i < k - 1:
+            np.minimum(best, dist, out=best)
+        if i == 1:
+            np.copyto(labels, less)
+        else:
+            np.copyto(moved, less)
+            np.multiply(moved, i, out=moved)
+            np.maximum(labels, moved, out=labels)
 
 
 def _squared_distances(block, mean, out, tmp) -> None:

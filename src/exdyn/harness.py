@@ -61,8 +61,12 @@ figure1_snapshot runs a head without an exemplar cloud and a tail as long
 as the survivor horizon, the age past which an absorbed point weighs no
 more than the cutoff.  Only the tail feeds the cloud, so the cloud grows
 with that horizon, not with n_steps.
-Its cell boundaries are traced on a grid classified a few rows at a time,
-keeping only where the labels change, so no grid-sized array is held.
+Its cell boundaries are traced on a grid labelled a few rows at a time,
+keeping only where the labels change, so no grid-sized array is held.  A
+grid centre's squared distance to a mean is a row square plus a column
+square, both computed once per category, so a block's distances take one
+broadcast add per category; the running minimum is geometry's, so every
+label, ties included, is the one assign_cells gives.
 """
 
 from __future__ import annotations
@@ -76,14 +80,15 @@ import numpy as np
 
 from .ar1 import _is_unit_pair, variance_of_Y
 from .errors import DomainError, ParameterError
-from .geometry import (_ASSIGN_CHUNK, _check_input, assign_cells, centroidal_deviation,
-                       min_cell_volume)
+from .geometry import (_ASSIGN_CHUNK, _check_input, _finite_means, _nearest,
+                       centroidal_deviation, min_cell_volume)
 from .model import (
     Domain,
     ExemplarCloud,
     ModelConfig,
     _count,
     _decay_factor,
+    _real,
     _seed,
     limit_total_weight,
 )
@@ -577,7 +582,7 @@ def boundary_variance_curve(lambda_grid, n_list, replicas, master_seed):
     (master_seed, i, r); results are a flat list ordered by grid point then
     by n_list position.
     """
-    grid = [float(lam) for lam in lambda_grid]
+    grid = [float(_real(lam, "each lambda_grid entry")) for lam in lambda_grid]
     if not grid:
         raise ParameterError("lambda_grid must be non-empty")
     for lam in grid:
@@ -741,7 +746,7 @@ def property_non_collapse(config: ModelConfig, n_steps: int,
     smallest cell volume exceeds the floor (default 0.05 |E| / k) stays
     above one half.  Also tracks the smallest pairwise distance
     between means over the checked states."""
-    if volume_floor is not None and not 0 <= volume_floor < math.inf:
+    if volume_floor is not None and not 0 <= _real(volume_floor, "volume_floor") < math.inf:
         raise ParameterError("volume_floor must be finite and nonnegative")
     # the config's means are finite and distinct, so this checks n_samples
     _check_input(config.init_means, n_samples)
@@ -1000,25 +1005,44 @@ def _grid_boundary_segments(means, domain, resolution: int) -> np.ndarray:
     dy = span[1] / resolution
     cx = lo[0] + (np.arange(resolution) + 0.5) * dx
     cy = lo[1] + (np.arange(resolution) + 0.5) * dy
-    # grid row i holds the points (cx[i], cy[j]); whole rows, at most
-    # _ASSIGN_CHUNK points, are classified at a time from one reused buffer.
-    # Only the (i, j) of label changes are kept, between rows i and i + 1
-    # (across) and between j and j + 1 within row i (along), in row-major
-    # order; the last label row of the block before is kept for the pair
-    # that spans the block edge, so the label grid is never held whole
+    # grid row i holds the centres (cx[i], cy[j]), whose squared distance to
+    # mean c is sx[c, i] + sy[c, j]: the rounded squares assign_cells sums
+    # in coordinate order, so every label is the one assign_cells gives.
+    # Whole rows, at most _ASSIGN_CHUNK centres, are labelled at a time in
+    # reused buffers, one broadcast add per category.  Only the (i, j) of
+    # label changes are kept, between rows i and i + 1 (across) and between
+    # j and j + 1 within row i (along), in row-major order; the last label
+    # row of the block before is kept for the pair that spans the block
+    # edge, so the label grid is never held whole
+    means = _finite_means(means)
+    sx = cx - means[:, :1]
+    sx *= sx
+    sy = cy - means[:, 1:]
+    sy *= sy
     rows = max(1, _ASSIGN_CHUNK // resolution)
-    block = np.empty((min(rows, resolution), resolution, 2))
-    block[:, :, 1] = cy
+    size = min(rows, resolution) * resolution
+    best, dist = np.empty((2, size))
+    less = np.empty(size, dtype=bool)
+    flat = np.zeros(size, dtype=np.intp)
     across, along = [], []
     for start in range(0, resolution, rows):
-        x = cx[start:start + rows]
-        block[:len(x), :, 0] = x[:, None]
-        labels = assign_cells(block[:len(x)].reshape(-1, 2), means).reshape(len(x), resolution)
+        m = min(rows, resolution - start)
+        n = m * resolution
+
+        def fill(i, out):
+            np.add(sx[i, start:start + m, None], sy[i], out=out.reshape(m, resolution))
+
+        labels = flat[:n]
+        _nearest(len(means), fill, labels, best[:n], dist[:n], less[:n])
         if start:
-            across.append(_label_changes(last, labels[:1], start - 1))
-        across.append(_label_changes(labels[:-1], labels[1:], start))
-        along.append(_label_changes(labels[:, :-1], labels[:, 1:], start))
-        last = labels[-1:].copy()
+            across.append(_label_changes(last, labels[:resolution], start - 1, resolution))
+        across.append(_label_changes(labels[:-resolution], labels[resolution:], start,
+                                     resolution))
+        # the flat pairs also join each row's last label to the next row's first
+        ii, jj = _label_changes(labels[:-1], labels[1:], start, resolution)
+        keep = jj < resolution - 1
+        along.append((ii[keep], jj[keep]))
+        last = labels[-resolution:].copy()
 
     pieces = []
     ii, jj = map(np.concatenate, zip(*across))
@@ -1038,9 +1062,10 @@ def _grid_boundary_segments(means, domain, resolution: int) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-def _label_changes(a, b, first_row):
-    # (i, j) where a[i, j] != b[i, j], with i counted from first_row
-    ii, jj = np.nonzero(a != b)
+def _label_changes(a, b, first_row, width):
+    # (i, j) of the flat positions i * width + j where a and b differ, with
+    # i counted from first_row
+    ii, jj = np.divmod(np.flatnonzero(a != b), width)
     return ii + first_row, jj
 
 
@@ -1082,7 +1107,7 @@ def figure1_snapshot(config: ModelConfig, n_steps: int,
     """
     if config.domain.dim != 2:
         raise ParameterError("snapshots are defined for 2-D configs")
-    if not prune_threshold >= 0:
+    if not _real(prune_threshold, "prune_threshold") >= 0:
         raise ParameterError("prune_threshold must be nonnegative")
     grid_resolution = _count(grid_resolution, "grid_resolution", 2)
     n_steps, _ = _run_length(n_steps, 1)

@@ -53,6 +53,15 @@ def _whole(value, name) -> int:
     return int(value)
 
 
+def _real(value, name):
+    """``value`` if it is a real number, numpy scalars included.  Text,
+    bytes, None, sequences and complex numbers raise ParameterError: a
+    comparison would raise TypeError on them, and float() would parse text."""
+    if not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def _count(value, name, least=0) -> int:
     """``value`` as an int, a whole number of at least ``least``."""
     count = _whole(value, name)
@@ -80,7 +89,7 @@ def _decay_factor(rate, needs) -> float:
     happens up to rate 2**-54; from the next double on the factor is
     1 - 2**-53.  ``needs`` names what requires the rule, for the message.
     """
-    if 0 < rate < math.inf:
+    if 0 < _real(rate, "decay_rate") < math.inf:
         decay = math.exp(-rate)
         if decay != 1.0:
             return decay
@@ -215,7 +224,7 @@ class ModelConfig:
         object.__setattr__(self, "init_means", _as_points(self.init_means, self.domain.dim))
         w = np.atleast_1d(np.asarray(self.init_weights, dtype=np.float64))
         object.__setattr__(self, "init_weights", w)
-        if not 0 <= self.decay_rate < math.inf:
+        if not 0 <= _real(self.decay_rate, "decay_rate") < math.inf:
             raise ParameterError("decay_rate must be finite and nonnegative")
         if self.init_means.shape != (self.k, self.domain.dim):
             raise ParameterError(
@@ -299,7 +308,7 @@ def _advance(means, weights, z, decay) -> int:
 
 def step(state: SystemState, z, decay_rate: float, domain: Domain = None) -> SystemState:
     """One update of the dynamics for incoming point z; returns a new state."""
-    if not decay_rate >= 0:
+    if not _real(decay_rate, "decay_rate") >= 0:
         raise ParameterError("step requires decay_rate >= 0")
     z = _as_point(z, state.dim)
     if domain is not None and not domain.contains(z):
@@ -318,7 +327,7 @@ def total_weight(state: SystemState) -> float:
 def limit_total_weight(decay_rate: float) -> float:
     """The limit 1 / (1 - e^-L) of the total weight; requires decay_rate > 0
     and a finite limit."""
-    if not decay_rate > 0:
+    if not _real(decay_rate, "decay_rate") > 0:
         raise ParameterError("limit total weight requires decay_rate > 0")
     limit = 1.0 / -math.expm1(-decay_rate)
     # below about 5.6e-309, 1 / decay_rate overflows: a run started at
@@ -396,7 +405,7 @@ class ExemplarCloud:
         would weigh more than at its birth (ParameterError)."""
         category = self._index(category)
         now = _count(now, "now")
-        if not 0 <= decay_rate < math.inf:
+        if not 0 <= _real(decay_rate, "decay_rate") < math.inf:
             raise ParameterError("decay_rate must be finite and nonnegative")
         births = np.array(self._births[category], dtype=np.int64)
         if births.size and now < births.max():
@@ -410,7 +419,7 @@ class ExemplarCloud:
     def pruned(self, now: int, decay_rate: float, threshold: float):
         """Per-category (locations, weights) with current weight > threshold,
         at a ``now`` that no birth comes after (ParameterError)."""
-        if not threshold >= 0:
+        if not _real(threshold, "threshold") >= 0:
             raise ParameterError("threshold must be nonnegative")
         out = []
         for j in range(self.k):

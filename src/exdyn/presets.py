@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError
 from .floattext import fmt
-from .model import Domain, _count, limit_total_weight
+from .model import Domain, _count, _real, limit_total_weight
 from .rng import INIT_STREAM, substream
 
 
@@ -142,6 +142,10 @@ def scatter_for_seed(centers, count: int, sigma: float, domain: Domain, seed):
         count = _count(count, "scatter_count", 1)
     except ParameterError as err:
         raise ConfigError(str(err), field="scatter_count") from None
+    try:
+        _real(sigma, "scatter_sigma")
+    except ParameterError as err:
+        raise ConfigError(str(err), field="scatter_sigma") from None
     if not 0 <= sigma < math.inf:
         raise ConfigError("scatter_sigma must be finite and nonnegative",
                           field="scatter_sigma")

@@ -21,6 +21,7 @@ from exdyn import (
 )
 from exdyn.cli import main, run
 from exdyn.config import EXPERIMENTS, header_text
+from exdyn.floattext import fmt
 from exdyn.harness import equilibrium_steps
 
 TRAJ = textwrap.dedent("""\
@@ -640,21 +641,47 @@ def test_cli_variance_curve_columns(tmp_path):
 
 
 def test_cli_snapshot_writes_three_files(tmp_path):
-    cfg = write(tmp_path, "snap.cfg", textwrap.dedent("""\
+    # a box 7 wide and 1e-3 high puts minus signs and exponents in the
+    # cells; every cell is fmt of the value figure1_snapshot reports
+    text = textwrap.dedent("""\
         experiment = snapshot
         seed = 7
-        k = 2
+        k = 3
         lambda = 0.1
-        domain = 0 1 0 1
-        init_means = 0.25 0.5 0.75 0.5
-        init_weights = 5 5
+        domain = -2 5 0 1e-3
+        init_means = -1.5 2e-4 0.5 5e-4 4 9e-4
+        init_weights = 5 5 5
         n_steps = 100
         grid_resolution = 32
-    """))
+    """)
+    cfg = write(tmp_path, "snap.cfg", text)
     assert main(["snapshot", "--config", cfg, "--out", str(tmp_path)]) == 0
-    for name in ("exemplars.csv", "means.csv", "boundaries.csv"):
+    spec = parse_config(text)
+    snap = figure1_snapshot(spec.model, spec.n_steps, spec.prune_threshold,
+                            scatter_points=spec.scatter_points,
+                            grid_resolution=spec.grid_resolution)
+    want = {
+        "exemplars.csv": ("x,y,weight,category", [
+            [fmt(p[0]), fmt(p[1]), fmt(w), str(int(c))]
+            for p, w, c in zip(snap.positions, snap.weights, snap.categories)]),
+        "means.csv": ("category,x,y,weight", [
+            [str(j), fmt(m[0]), fmt(m[1]), fmt(w)]
+            for j, (m, w) in enumerate(zip(snap.means, snap.category_weights))]),
+        "boundaries.csv": ("x0,y0,x1,y1", [
+            [fmt(s[0, 0]), fmt(s[0, 1]), fmt(s[1, 0]), fmt(s[1, 1])]
+            for s in snap.boundary_segments]),
+    }
+    cells = []
+    for name, (header, rows) in want.items():
         text = (tmp_path / name).read_text()
         assert text.startswith("# experiment = snapshot")
+        lines = [line for line in text.splitlines() if not line.startswith("#")]
+        assert lines[0] == header
+        assert [line.split(",") for line in lines[1:]] == rows
+        cells += [cell for row in rows for cell in row]
+    assert sorted({int(c) for c in snap.categories}) == [0, 1, 2]
+    assert len(snap.boundary_segments) > 32
+    assert any("e-" in cell for cell in cells) and any(cell[0] == "-" for cell in cells)
 
 
 def test_run_rejects_unknown_subcommand():

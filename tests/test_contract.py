@@ -4,9 +4,10 @@ Each row of _ROWS names a callable of exdyn.__all__ (or a public method
 of one of its classes), one of its numeric parameters, the rule that parameter
 follows, the error class the rule raises, and a call that passes a value
 as that parameter with every other argument valid.  Each rule lists the
-classes of bad value it refuses: NaN, +-inf, 2.5 and non-numbers such as
-text where a whole number is due, values below its range, seeds and stream
-keys from 2**64 on, and decay rates whose factor exp(-rate) rounds to 1.0.
+classes of bad value it refuses: NaN, +-inf, 2.5 where a whole number is
+due, non-numbers such as text where any number is due, values below its
+range, seeds and stream keys from 2**64 on, and decay rates whose factor
+exp(-rate) rounds to 1.0.
 Every row is fed every bad value of its rule, and must raise the row's
 error class with the no_run fixture in place, so nothing was simulated and
 no stream was made first.  A callable that takes a number, or a public
@@ -77,18 +78,21 @@ _BAD = {
     "category of 2": NOT_WHOLE + (-1, 2),
     "seed": NOT_WHOLE + (-1, 2**64),
     # closed forms, ensembles, the equilibrium horizon and non-extinction
-    "rate that decays": (NAN, INF, -INF, -1.0, 0.0, TINY, 1e-320),
+    "rate that decays": (NAN, INF, -INF, -1.0, 0.0, TINY, 1e-320) + NOT_NUMBERS,
     # single runs, step and mean_map: rate >= 0
-    "rate >= 0": (NAN, -INF, -1.0),
-    "finite rate >= 0": (NAN, INF, -INF, -1.0),
+    "rate >= 0": (NAN, -INF, -1.0) + NOT_NUMBERS,
+    "finite rate >= 0": (NAN, INF, -INF, -1.0) + NOT_NUMBERS,
     # limit_total_weight: rate > 0 with a finite limit 1 / (1 - e^-rate)
-    "rate with a finite limit": (NAN, -INF, -1.0, 0.0, 1e-320),
+    "rate with a finite limit": (NAN, -INF, -1.0, 0.0, 1e-320) + NOT_NUMBERS,
     # a model rate, which ModelConfig has checked, that the check refuses
     "model rate that decays": (0.0, TINY, 1e-320),
     "model rate 0 or one that decays": (TINY, 1e-320),
     "model rate 0": (0.1, TINY),
-    "threshold >= 0": (NAN, -INF, -1.0),
-    "finite value >= 0": (NAN, INF, -INF, -1.0),
+    "threshold >= 0": (NAN, -INF, -1.0) + NOT_NUMBERS,
+    "finite value >= 0": (NAN, INF, -INF, -1.0) + NOT_NUMBERS,
+    # property_non_collapse's volume_floor, where None picks the default floor
+    "finite value >= 0 or None": (NAN, INF, -INF, -1.0) + tuple(
+        v for v in NOT_NUMBERS if v is not None),
     "late-window length": NOT_WHOLE + (7, -1),
     "multiple of 10": NOT_WHOLE + (0, 15, -10),
 }
@@ -215,7 +219,7 @@ _ROWS = [
         lambda v: property_non_collapse(pair(), 100, v)),
     Row("property_non_collapse", "n_samples", "count >= 1",
         lambda v: property_non_collapse(pair(), 100, n_samples=v), GeometryError),
-    Row("property_non_collapse", "volume_floor", "finite value >= 0",
+    Row("property_non_collapse", "volume_floor", "finite value >= 0 or None",
         lambda v: property_non_collapse(pair(), 100, volume_floor=v)),
     Row("property_non_convergence", "n_steps", "late-window length",
         lambda v: property_non_convergence(pair(), v)),

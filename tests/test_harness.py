@@ -1464,23 +1464,42 @@ def _reference_grid_segments(means, domain, resolution):
 # and those ties go to mean 0
 TIE_BOX = Domain(np.array([-1.5, -1.5]), np.array([2.5, 2.5]))
 TIE_MEANS = np.array([[0.3, 1.9], [1.9, 0.3], [-1.0, -1.2]])
+# (means, box) sets for the grid: one category (no boundary), a pair, fig1's
+# scatter centres, whose bisectors run through the centres of odd grids,
+# and six categories in a non-square box with negative corners
+WIDE_BOX = Domain(np.array([-3.0, -0.5]), np.array([1.0, 2.25]))
+GRID_CASES = {
+    "one": (np.array([[0.2, 0.7]]), SQUARE),
+    "pair": (np.array([[0.31, 0.6], [0.74, 0.45]]), SQUARE),
+    "ties": (TIE_MEANS, TIE_BOX),
+    "fig1-square": (np.array([[25.0, 25.0], [75.0, 25.0], [25.0, 75.0], [75.0, 75.0]]),
+                    Domain(np.zeros(2), np.full(2, 100.0))),
+    "six-wide": (WIDE_BOX.lower + np.random.default_rng(7).random((6, 2))
+                 * (WIDE_BOX.upper - WIDE_BOX.lower), WIDE_BOX),
+}
 
 
+@pytest.mark.parametrize("case", GRID_CASES)
 @pytest.mark.parametrize("resolution", [2, 3, 255, 512, 700, 1000])
-def test_grid_boundary_segments_match_the_whole_grid(resolution):
+def test_grid_boundary_segments_match_the_whole_grid(case, resolution):
     # 700 takes 11 rows per block and leaves a 7-row tail
-    segs = _grid_boundary_segments(TIE_MEANS, TIE_BOX, resolution)
+    means, box = GRID_CASES[case]
+    segs = _grid_boundary_segments(means, box, resolution)
     assert segs.dtype == np.float64
-    assert np.array_equal(segs, _reference_grid_segments(TIE_MEANS, TIE_BOX, resolution))
+    want = _reference_grid_segments(means, box, resolution)
+    assert np.array_equal(segs, want)
+    assert (len(want) == 0) == (case == "one")
 
 
+@pytest.mark.parametrize("case", GRID_CASES)
 @pytest.mark.parametrize("resolution", [64, 65, 255])
-def test_grid_boundary_segments_in_one_row_blocks(monkeypatch, resolution):
+def test_grid_boundary_segments_in_one_row_blocks(monkeypatch, case, resolution):
     # 64 points a block hold one grid row from resolution 64 on, so every
     # pair of neighbouring rows spans a block edge
     monkeypatch.setattr(harness, "_ASSIGN_CHUNK", 64)
-    segs = _grid_boundary_segments(TIE_MEANS, TIE_BOX, resolution)
-    assert np.array_equal(segs, _reference_grid_segments(TIE_MEANS, TIE_BOX, resolution))
+    means, box = GRID_CASES[case]
+    segs = _grid_boundary_segments(means, box, resolution)
+    assert np.array_equal(segs, _reference_grid_segments(means, box, resolution))
 
 
 def test_grid_boundary_segments_memory_does_not_grow_with_the_grid():
